@@ -75,6 +75,7 @@ def _cmd_prox(args) -> int:
         "family": ps.family,
         "certified": ps.certified,
         "g_value": float(ps.g_value),
+        "tie_truncated": ps.tie_truncated,
     }
     print(json.dumps(payload))
     return 0

@@ -113,8 +113,8 @@ def denormalize(u, perm: SignedPermutation) -> np.ndarray:
 class Tolerances:
     """Numeric knobs shared by the solvers.
 
-    ``tie_tol`` is relative: a decision-step tie is declared when the
-    objective gap is within ``tie_tol * (1 + |F(0)|)``.  ``root_tol`` is the
+    ``tie_tol`` is relative, in (0, 1): a decision-step tie is declared when
+    the objective gap is within ``tie_tol * (1 + |F(0)|)``.  ``root_tol`` is the
     bracket width at which 1-D bisection stops, ``pgd_tol`` the iterate
     difference at which projected gradient stops.
     """
@@ -126,8 +126,11 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tie_tol", "root_tol", "pgd_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number")
+        if self.tie_tol >= 1.0:
+            raise ValueError("tie_tol must be below 1")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 

@@ -3,9 +3,9 @@
 The direction problem is a quadratic form built from a rank-2 matrix
 (2*e*e^T - rho*x*x^T).  Its negative-eigenvalue eigenvector has a closed
 form; when the eigenvector leaves the nonnegative cone the trailing
-coordinate of the optimal direction is provably zero, so a truncation loop
-over prefix lengths resolves every input in finitely many steps.  The matrix
-is never materialized: all products use the rank-2 structure.
+coordinate of the optimal direction is provably zero, so one prefix-sum scan
+over prefix lengths picks the prefix the direction lives on.  The matrix is
+never materialized: all products use the rank-2 structure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    UNIFORM_RTOL,
     UNIFORM_SPHERE,
     ProxSet,
     Tolerances,
@@ -125,24 +126,23 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
 
 
 def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStepSolution, int]:
-    """Direction solver with the prefix truncation loop.
+    """Direction solver on the prefix length picked by one prefix-sum scan.
 
     Returns the solution padded to full length together with the effective
     prefix length it was resolved on.  When the first column of the
     direction matrix is entirely nonnegative the first axis is optimal;
-    otherwise the loop walks the prefix length down from the negative-entry
-    count, dropping one trailing coordinate per step whenever the
-    negative-eigenvalue direction leaves the nonnegative cone.
+    otherwise the prefix is the longest one, up to the negative-entry count,
+    that is uniform, has two entries, or keeps the trailing entry of its
+    negative-eigenvalue direction positive (read off prefix sums).
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if x[0] == 0.0:
         raise ValueError("zero vector has no direction")
-    n = x.size
 
     def padded(w_head: np.ndarray) -> np.ndarray:
-        w = np.zeros(n)
+        w = np.zeros(x.size)
         w[: w_head.size] = w_head
         return w
 
@@ -150,31 +150,31 @@ def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStep
     if k == 0:
         w = padded(np.array([1.0]))
         return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho)), 1
-
-    while k >= 1:
-        head = x[:k]
-        au = uniform_value(head)
-        if au is not None:
-            d = 2.0 - rho * au * au
-            if d > 0.0:  # unreachable from the loop bound, kept for direct calls
-                w = padded(np.array([1.0]))
+    if k > 2:
+        # trailing w_lo entry of every prefix in h2_spectrum's rationalized form;
+        # cumsum rounds unlike its sums, so h2_spectrum confirms each candidate
+        head, ks = x[:k], np.arange(1, k + 1)
+        s1 = np.cumsum(head)
+        m = 0.5 * rho * np.cumsum(head * head) + ks
+        alpha_lo = 2.0 * rho * s1 * s1 / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s1 * s1, 0.0)))
+        uniform = x[0] - head <= UNIFORM_RTOL * x[0]
+        stop = uniform | (ks == 2) | (head - alpha_lo / (rho * s1) > 0.0)
+        for k in map(int, np.flatnonzero(stop)[::-1] + 1):
+            if k == 2 or uniform[k - 1]:
+                break
+            spec = h2_spectrum(x[:k], rho)
+            if spec.w_lo[-1] > 0.0:
+                w = padded(spec.w_lo / np.linalg.norm(spec.w_lo))
                 return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho)), k
-            w = padded(np.full(k, 1.0 / np.sqrt(k)))
-            g = objective_G_h2(w, x, rho)
-            f_zero = 0.5 * rho * float(head @ head)
-            family = UNIFORM_SPHERE if abs(g) <= effective_tie_tol(tol, f_zero) else None
-            return WStepSolution(w_star=w, g_value=g, family=family), k
-        if k == 2:
-            sol2 = wstep_h2_r2(head, rho)
-            w = padded(sol2.w_star)
-            return WStepSolution(w_star=w, g_value=sol2.g_value), 2
-        spec = h2_spectrum(head, rho)
-        if spec.w_lo[-1] > 0.0:
-            w = padded(spec.w_lo / np.linalg.norm(spec.w_lo))
-            return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho)), k
-        k -= 1
-
-    raise RuntimeError("truncation loop failed to resolve")
+    head = x[:k]
+    if uniform_value(head) is not None:
+        w = padded(np.full(k, 1.0 / np.sqrt(k)))
+        g = objective_G_h2(w, x, rho)
+        f_zero = 0.5 * rho * float(head @ head)
+        family = UNIFORM_SPHERE if abs(g) <= effective_tie_tol(tol, f_zero) else None
+        return WStepSolution(w_star=w, g_value=g, family=family), k
+    sol2 = wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
+    return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2
 
 
 def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:

@@ -65,6 +65,25 @@ class TestProxCommand:
         assert payload["contains_zero"] is True
         assert payload["points"] == [[1.05, 0.0]]
 
+    def test_tie_tol_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["prox", "--fn", "l0", "--rho", "2", "--x", "1,1", "--tie-tol", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "tie_tol" in err and "Traceback" not in err
+
+    def test_tie_truncated_emitted(self, capsys):
+        # four entries tied at the threshold: 2^4 supports, cut to two
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "2", "--x", "1,1,1,1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tie_truncated"] is True
+        assert payload["contains_zero"] is True
+        assert payload["points"] == [[1.0, 1.0, 1.0, 1.0]]
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "2", "--x", "2,0.5"])
+        assert json.loads(out)["tie_truncated"] is False
+
     def test_json_roundtrip_identity(self, capsys):
         # re-evaluating the emitted points recovers g_value + F(0)
         for fn, rho, xs in (("h2", 2.5, "2.5,1.5,1,0.5"), ("h1", 1.0, "2,1"), ("l0", 2.0, "2,0.5")):

@@ -233,3 +233,15 @@ class TestTolerances:
     def test_rejects_nonpositive(self, kw):
         with pytest.raises(ValueError):
             Tolerances(**kw)
+
+    @pytest.mark.parametrize("name", ["tie_tol", "root_tol", "pgd_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError):
+            Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("tie_tol", [1.0, 2.0])
+    def test_rejects_tie_tol_at_or_above_one(self, tie_tol):
+        # (1 - tie_tol) divides the l0 thresholds
+        with pytest.raises(ValueError):
+            Tolerances(tie_tol=tie_tol)

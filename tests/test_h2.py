@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from proxinv import (
     normalize,
     prox_h2,
     prox_h2_uniform,
+    uniform_value,
     wstep_h2,
     wstep_h2_r2,
 )
@@ -23,6 +26,43 @@ W_REF_18 = np.array([0.8804, 0.4286, 0.2027, 0.0])
 
 def rank2_apply(x, rho, w):
     return 2.0 * np.sum(w) * np.ones_like(x) - rho * x * float(x @ w)
+
+
+def reference_prefix_walk(x, rho):
+    """Per-prefix truncation walk: from the negative-entry count down, drop
+    one trailing coordinate while the negative-eigenvalue direction leaves
+    the nonnegative cone.  O(n^2); returns (direction head, prefix length)."""
+    k = mu(x, rho)
+    if k == 0:
+        return np.array([1.0]), 1
+    while True:
+        head = x[:k]
+        if uniform_value(head) is not None:
+            return np.full(k, 1.0 / np.sqrt(k)), k
+        if k == 2:
+            return wstep_h2_r2(head, rho).w_star, 2
+        spec = h2_spectrum(head, rho)
+        if spec.w_lo[-1] > 0.0:
+            return spec.w_lo / np.linalg.norm(spec.w_lo), k
+        k -= 1
+
+
+def scan_cases(rng, count):
+    """Sorted inputs of n = 3..1000 with rho log-uniform on [1e-2, 1e1]:
+    Gaussian magnitudes, zero-padded tails and a leading uniform block
+    above a shrunk tail."""
+    kinds = ("gaussian", "zero_padded", "uniform_block")
+    for i in range(count):
+        n = int(rng.integers(3, 1001))
+        x = np.abs(rng.normal(size=n))
+        kind = kinds[i % 3]
+        if kind == "zero_padded":
+            x[rng.integers(1, n) :] = 0.0
+        elif kind == "uniform_block":
+            block = rng.integers(2, n + 1)
+            x[block:] *= rng.uniform()
+            x[:block] = x.max()
+        yield kind, np.sort(x)[::-1].copy(), float(10.0 ** rng.uniform(-2.0, 1.0))
 
 
 class TestSpectrum:
@@ -151,6 +191,21 @@ class TestDirectionSolver:
         with pytest.raises(ValueError):
             wstep_h2(np.zeros(3), 1.0)
 
+    def test_scan_matches_prefix_walk(self):
+        # the prefix-sum scan picks the same prefix and direction as the
+        # per-prefix walk it replaces
+        rng = np.random.default_rng(58)
+        truncated = 0
+        for kind, x, rho in scan_cases(rng, 2100):
+            sol, k = wstep_h2(x, rho)
+            w_head, k_ref = reference_prefix_walk(x, rho)
+            assert k == k_ref, (kind, x.size, rho)
+            w_ref = np.zeros(x.size)
+            w_ref[:k_ref] = w_head
+            assert np.max(np.abs(sol.w_star - w_ref)) <= 1e-12
+            truncated += k < mu(x, rho)
+        assert truncated >= 500
+
 
 class TestProx:
     def test_zero_input(self):
@@ -244,6 +299,18 @@ class TestProx:
         p = ps.points[0]
         f0 = 0.5 * rho * float(x @ x)
         assert f_value("h2", p, x, rho) < f0
+
+    def test_large_dimension_runtime(self):
+        # one prefix-sum scan picks the prefix; a per-prefix walk drops
+        # thousands of coordinates here and runs far over the budget
+        x = np.random.default_rng(59).standard_normal(20000)
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for rho in (1.0, 3.0):
+                prox_h2(x, rho)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.2, f"n=20000 prox_h2 at rho=1 and 3 took {best:.3f}s"
 
     def test_family_representative_consistency(self):
         # at the uniform tie every sphere direction gives an equal objective
