@@ -33,7 +33,14 @@ from .h2 import h2_spectrum, prox_h2
 from .l0 import prox_l0
 from .oracle import brute_prox
 
-_PENALTY = {"l0": l0_value, "h1": h1_value, "h2": h2_value}
+#: operator name -> (prox(x, rho, tol, init_fraction), penalty); the lambdas
+#: look ``prox_*`` up in this module at call time, so a wrapper installed over
+#: ``proxinv.cli.prox_*`` sees the CLI's calls
+_OPERATORS = {
+    "l0": (lambda x, rho, tol, init_fraction: prox_l0(x, rho, tol), l0_value),
+    "h1": (lambda x, rho, tol, init_fraction: prox_h1(x, rho, tol, init_fraction=init_fraction), h1_value),
+    "h2": (lambda x, rho, tol, init_fraction: prox_h2(x, rho, tol), h2_value),
+}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -54,21 +61,14 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _run_prox(fn: str, x: np.ndarray, rho: float, tol: Tolerances, init_fraction: float):
-    if fn == "l0":
-        return prox_l0(x, rho, tol)
-    if fn == "h2":
-        return prox_h2(x, rho, tol)
-    return prox_h1(x, rho, tol, init_fraction=init_fraction)
-
-
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
 def _cmd_prox(args) -> int:
     x = _parse_vector(args.x)
-    ps = _run_prox(args.fn, x, args.rho, _tolerances(args), args.init_fraction)
+    prox, _ = _OPERATORS[args.fn]
+    ps = prox(x, args.rho, _tolerances(args), args.init_fraction)
     payload = {
         "contains_zero": ps.contains_zero,
         "points": [[float(c) for c in p] for p in ps.points],
@@ -101,9 +101,10 @@ def _cmd_region(args) -> int:
             rows.append((thr, k * thr / max(args.grid - 1, 1)))
         diag = thr if args.fn in ("l0", "h2") else float(np.sqrt(np.sqrt(2.0) / args.rho))
         rows.append((diag, diag))
+    prox, _ = _OPERATORS[args.fn]
     out = sys.stdout
     for x1, x2 in rows:
-        ps = _run_prox(args.fn, np.array([x1, x2]), args.rho, tol, 0.5)
+        ps = prox(np.array([x1, x2]), args.rho, tol, 0.5)
         label = _region_label(ps)
         if args.mode == "prox-map":
             u = ps.points[0] if ps.points else np.zeros(2)
@@ -145,8 +146,8 @@ def _cmd_oracle(args) -> int:
         print("oracle comparison supports dimensions up to 3", file=sys.stderr)
         return 2
     rho = args.rho
-    ps = _run_prox(args.fn, x, rho, _tolerances(args), 0.5)
-    penalty = _PENALTY[args.fn]
+    prox, penalty = _OPERATORS[args.fn]
+    ps = prox(x, rho, _tolerances(args), 0.5)
     candidates = list(ps.points)
     if ps.contains_zero:
         candidates.append(np.zeros(x.size))
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prox", help="evaluate a proximity operator at a point")
-    p.add_argument("--fn", required=True, choices=("l0", "h1", "h2"))
+    p.add_argument("--fn", required=True, choices=tuple(_OPERATORS))
     p.add_argument("--rho", required=True, type=float)
     p.add_argument("--x", required=True)
     p.add_argument("--tie-tol", type=float, default=None)
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_prox)
 
     p = sub.add_parser("region", help="plane region map as CSV rows")
-    p.add_argument("--fn", required=True, choices=("l0", "h1", "h2"))
+    p.add_argument("--fn", required=True, choices=tuple(_OPERATORS))
     p.add_argument("--rho", required=True, type=float)
     p.add_argument("--xmax", required=True, type=float)
     p.add_argument("--grid", required=True, type=int)
@@ -207,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_spectrum)
 
     p = sub.add_parser("oracle", help="compare an analytic prox against the grid oracle")
-    p.add_argument("--fn", required=True, choices=("l0", "h1", "h2"))
+    p.add_argument("--fn", required=True, choices=tuple(_OPERATORS))
     p.add_argument("--rho", required=True, type=float)
     p.add_argument("--x", required=True)
     p.add_argument("--resolution", type=float, default=1e-3)

@@ -31,12 +31,11 @@ from .core import (
     _positive_rho,
     as_vector,
     descending_vector,
-    effective_tie_tol,
     normalize,
     objective_G_h1,
     uniform_value,
 )
-from .wrd import WStepSolution, wrd_assemble
+from .wrd import WStepSolution, decision_step, wrd_assemble
 
 #: kappa below which the first axis is stationary for the planar problem
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
@@ -58,16 +57,6 @@ class R2Region(NamedTuple):
     label: str
     in_s1: bool
     in_s2: bool
-
-
-@dataclass
-class PgdState:
-    """Projected-gradient bookkeeping: the current iterate in the unit-ball
-    slice of the descending cone, the fixed step, and the iteration count."""
-
-    iterate: np.ndarray
-    step: float
-    iterations_done: int = 0
 
 
 def r2_geometry(x_sorted) -> R2Geometry:
@@ -219,35 +208,18 @@ def prox_h1_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
     n = int(n)
     if alpha <= 0.0 or n < 1:
         raise ValueError("alpha must be positive and n >= 1")
-    rn = math.sqrt(n)
     f_zero = 0.5 * rho * alpha * alpha * n
-    tie = effective_tie_tol(tol, f_zero)
-    g_diag = rn - f_zero
+    g_diag = math.sqrt(n) - f_zero
     g_axis = 1.0 - 0.5 * rho * alpha * alpha
-    point = np.full(n, alpha)
-    if abs(g_diag) <= tie:
-        return ProxSet(True, [point], g_value=g_diag)
-    if g_diag < 0.0:
-        return ProxSet(False, [point], g_value=g_diag)
-    return ProxSet(True, [], g_value=min(g_diag, g_axis))
+    return decision_step(g_diag, f_zero, np.full(n, alpha), tol, zero_gap=min(g_diag, g_axis))
 
 
 def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> ProxSet:
-    """Prox at a plane point on the first axis: threshold sqrt(2/rho)."""
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    f_zero = 0.5 * rho * alpha * alpha
-    tie = effective_tie_tol(tol, f_zero)
-    g = 1.0 - f_zero
-    point = np.array([alpha, 0.0])
-    if abs(g) <= tie:
-        return ProxSet(True, [point], g_value=g)
-    if g < 0.0:
-        return ProxSet(False, [point], g_value=g)
-    return ProxSet(True, [], g_value=g)
+    """Prox at a plane point on the first axis: threshold sqrt(2/rho).
+
+    The one-entry uniform prox, padded with a zero second entry.
+    """
+    return prox_h1_uniform(alpha, 1, rho, tol).map_points(lambda p: np.append(p, 0.0))
 
 
 def trim_zeros(x_sorted) -> tuple[np.ndarray, int]:
@@ -315,33 +287,31 @@ def pgd_wstep(
         raise ValueError("dimension mismatch")
 
     s2 = float(x @ x)
-    state = PgdState(iterate=w, step=1.0 / (2.0 * rho * s2))
+    step = 1.0 / (2.0 * rho * s2)
     ones = np.ones_like(x)
 
     def relaxed_objective(u: np.ndarray) -> float:
         t = float(x @ u)
         return -0.5 * rho * t * t + float(u.sum())
 
-    h = relaxed_objective(state.iterate)
+    h = relaxed_objective(w)
     converged = False
-    while state.iterations_done < tol.max_iter:
-        w = state.iterate
+    iterations = 0
+    while iterations < tol.max_iter:
         grad = ones - rho * float(x @ w) * x
-        w_next = _pav_clamp_scale(w - state.step * grad)
+        w_next = _pav_clamp_scale(w - step * grad)
         h_next = relaxed_objective(w_next)
         if h_next > h + 1e-12 * (1.0 + abs(h)):
             raise ArithmeticError("relaxed objective increased along the iteration")
         if trace is not None:
             trace.append(h_next)
         delta = float(np.linalg.norm(w_next - w))
-        state.iterate, h = w_next, h_next
-        state.iterations_done += 1
+        w, h = w_next, h_next
+        iterations += 1
         if delta <= tol.pgd_tol:
             converged = True
             break
 
-    w = state.iterate
-    iterations = state.iterations_done
     nu = float(np.linalg.norm(w))
     if _DICHOTOMY_BAND < nu < 1.0 - _DICHOTOMY_BAND:
         warnings.warn(
@@ -381,24 +351,20 @@ def prox_h1(
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
     Dispatch after normalization and zero-trimming: closed forms for the
-    single-entry, uniform, and planar cases; projected gradient with a
-    data-aligned interior start for dimension three and up.
+    uniform (a single entry included) and planar cases; projected gradient
+    with a data-aligned interior start for dimension three and up.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     if not 0.25 <= init_fraction <= 0.75:
         raise ValueError("init_fraction must lie in [0.25, 0.75]")
-    v = as_vector(x)
-    if not v.any():
+    xs, perm = normalize(x)
+    if xs[0] == 0.0:
         return ProxSet(True, [], g_value=1.0)
-    xs, perm = normalize(v)
     head, _removed = trim_zeros(xs)
     m = head.size
 
-    if m == 1:
-        ps2 = prox_h1_axis(head[0], rho, tol)
-        ps = ps2.map_points(lambda p: p[:1])
-    elif uniform_value(head) is not None:
+    if uniform_value(head) is not None:
         ps = prox_h1_uniform(head[0], m, rho, tol)
     elif m == 2:
         ps = prox_h1_r2(head, rho, tol)

@@ -23,14 +23,12 @@ from .core import (
     ProxSet,
     Tolerances,
     _positive_rho,
-    as_vector,
     descending_vector,
-    effective_tie_tol,
     normalize,
     objective_G_h2,
     uniform_value,
 )
-from .wrd import WStepSolution, wrd_assemble
+from .wrd import WStepSolution, decision_step, is_tie, wrd_assemble
 
 
 @dataclass
@@ -98,14 +96,9 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
         raise ValueError("alpha must be positive and n >= 1")
     d = 2.0 - rho * alpha * alpha
     f_zero = 0.5 * rho * alpha * alpha * n
-    tie = effective_tie_tol(tol, f_zero)
-    point = np.full(n, alpha)
     g_diag = 0.5 * d * n
-    if abs(g_diag) <= tie:
-        return ProxSet(True, [point], family=UNIFORM_SPHERE, g_value=g_diag)
-    if d < 0.0:
-        return ProxSet(False, [point], g_value=g_diag)
-    return ProxSet(True, [], g_value=0.5 * d)
+    family = UNIFORM_SPHERE if is_tie(g_diag, f_zero, tol) else None
+    return decision_step(g_diag, f_zero, np.full(n, alpha), tol, family=family, zero_gap=0.5 * d)
 
 
 def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
@@ -170,8 +163,7 @@ def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStep
     if uniform_value(head) is not None:
         w = padded(np.full(k, 1.0 / np.sqrt(k)))
         g = objective_G_h2(w, x, rho)
-        f_zero = 0.5 * rho * float(head @ head)
-        family = UNIFORM_SPHERE if abs(g) <= effective_tie_tol(tol, f_zero) else None
+        family = UNIFORM_SPHERE if is_tie(g, 0.5 * rho * float(head @ head), tol) else None
         return WStepSolution(w_star=w, g_value=g, family=family), k
     sol2 = wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
     return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2
@@ -181,10 +173,9 @@ def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the squared l1/l2 ratio at an arbitrary point."""
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
-    v = as_vector(x)
-    if not v.any():
+    xs, perm = normalize(x)
+    if xs[0] == 0.0:
         return ProxSet(True, [], g_value=1.0)
-    xs, perm = normalize(v)
     au = uniform_value(xs)
     if au is not None:
         ps = prox_h2_uniform(au, xs.size, rho, tol)

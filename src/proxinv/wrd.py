@@ -5,10 +5,16 @@ its objective gap ``g_value``; the radius step forms ``r = <x, w_star>`` and
 the decision step keeps the origin, the scaled point, or both, depending on
 the sign of the gap.  The gap equals F(r*w) - F(0) exactly, so the decision
 never recomputes F and avoids cancellation for large inputs.
+
+:func:`decision_step` is the one decision rule of the package: the solved
+directions of :func:`wrd_assemble` and the uniform and single-axis closed
+forms of the h1 and h2 operators all go through it, and :func:`is_tie` is
+its tie test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +52,49 @@ class WStepSolution:
     iterations: int = 0
 
 
+def is_tie(g_value: float, f_zero: float, tol: Tolerances) -> bool:
+    """Tie test of the decision step: ``|g_value| <= tie_tol * (1 + |f_zero|)``.
+
+    Raises ``ValueError`` when the gap or F(0) is not finite (input magnitude
+    out of range), where every gap would read as a tie.
+    """
+    if not (math.isfinite(g_value) and math.isfinite(f_zero)):
+        raise ValueError("input magnitude out of range: decision gap or F(0) is not finite")
+    return abs(g_value) <= effective_tie_tol(tol, f_zero)
+
+
+def decision_step(
+    g_value: float,
+    f_zero: float,
+    point: np.ndarray,
+    tol: Tolerances,
+    family: str | None = None,
+    certified: bool = True,
+    zero_gap: float | None = None,
+) -> ProxSet:
+    """Keep the origin, ``point``, or both, from the sign of the gap F(point) - F(0).
+
+    A tie within :func:`is_tie` keeps both, a negative gap keeps ``point``
+    and a positive gap the origin, reported with ``zero_gap`` when given
+    (else the gap itself).  ``family`` and ``certified`` pass through.
+    Raises ``ValueError`` when ``g_value`` or ``f_zero`` is not finite
+    (the input magnitude is out of range).
+    """
+    g = float(g_value)
+    if is_tie(g, f_zero, tol):
+        return ProxSet(True, [point], family=family, g_value=g, certified=certified)
+    if g < 0.0:
+        return ProxSet(False, [point], family=family, g_value=g, certified=certified)
+    g_zero = g if zero_gap is None else zero_gap
+    return ProxSet(True, [], family=family, g_value=g_zero, certified=certified)
+
+
 def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | None = None) -> ProxSet:
     """Run the radius and decision steps for a solved direction.
 
     Returns {0} when the gap is decisively positive, {r*w} when decisively
-    negative, and both on a tie within the scaled tie tolerance.
+    negative, and both on a tie within the scaled tie tolerance
+    (:func:`decision_step`).
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
@@ -79,11 +123,4 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     r = max(r, 0.0)
 
     f_zero = 0.5 * rho * float(x @ x)
-    tie = effective_tie_tol(tol, f_zero)
-    g = float(sol.g_value)
-
-    if g > tie:
-        return ProxSet(True, [], family=sol.family, g_value=g, certified=sol.certified)
-    if g < -tie:
-        return ProxSet(False, [r * w], family=sol.family, g_value=g, certified=sol.certified)
-    return ProxSet(True, [r * w], family=sol.family, g_value=g, certified=sol.certified)
+    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family, certified=sol.certified)

@@ -54,6 +54,24 @@ class TestUniformAndAxis:
         assert tie.contains_zero and np.allclose(tie.points[0], [1.0, 0.0])
         kept = prox_h1_axis(1.5, 2.0)
         assert not kept.contains_zero and np.allclose(kept.points[0], [1.5, 0.0])
+        # one nonzero entry: prox_h1 is the axis prox restricted to that entry,
+        # below, at (the tie) and above the threshold sqrt(2/rho)
+        rho = 2.0
+        for scale in (0.9, 1.0, 1.5):
+            t = scale * np.sqrt(2.0 / rho)
+            ps, ax = prox_h1(np.array([0.0, -t, 0.0]), rho), prox_h1_axis(t, rho)
+            for field in ("contains_zero", "family", "g_value", "certified", "tie_truncated"):
+                assert getattr(ps, field) == getattr(ax, field)
+            assert len(ps.points) == len(ax.points)
+            for p, q in zip(ps.points, ax.points):
+                assert np.array_equal(p, [0.0, -q[0], 0.0])
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, alpha):
+        with pytest.raises(ValueError, match="out of range"):
+            prox_h1_uniform(alpha, 3, 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            prox_h1_axis(alpha, 1.0)
 
 
 class TestConvexFactor:
@@ -407,6 +425,11 @@ class TestFullProx:
         assert best_f("h1", ps, x, rho) <= f_o + max(1e-5, 10 * (5e-4) ** 2 * rho * (x @ x))
         d = min(np.linalg.norm(u_o - u) for u in candidates(ps, 3))
         assert d <= 2e-3
+
+    def test_overflowing_origin_objective_rejected(self):
+        # F(0) overflows to inf, which would read every gap as a tie
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
+            prox_h1(np.array([3.0, 2.0, 1.0]) * 1e160, 1e-320)
 
     def test_init_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,11 @@ class TestUniformProx:
         ps = prox_h2_uniform(0.9, 3, 2.0)
         assert ps.contains_zero and ps.points == []
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, alpha):
+        with pytest.raises(ValueError, match="out of range"):
+            prox_h2_uniform(alpha, 3, 2.0)
+
 
 class TestPlanarDirection:
     def test_inactive_cross_term(self):

@@ -70,6 +70,13 @@ def test_rejects_bad_directions():
         wrd_assemble(x, 1.0, WStepSolution(w_star=w, g_value=0.0))
 
 
+def test_non_finite_gap_rejected():
+    x = np.array([1.0, 0.5])
+    sol = WStepSolution(w_star=np.array([1.0, 0.0]), g_value=np.nan)
+    with pytest.raises(ValueError, match="out of range"):
+        wrd_assemble(x, 1.0, sol)
+
+
 def test_decision_identity_both_objectives():
     # F(<x,w>w) - F(0) equals the direction objective for any feasible w
     rng = np.random.default_rng(31)
