@@ -33,13 +33,19 @@ from .h2 import h2_spectrum, prox_h2
 from .l0 import prox_l0
 from .oracle import brute_prox
 
-#: operator name -> (prox(x, rho, tol, init_fraction), penalty); the lambdas
-#: look ``prox_*`` up in this module at call time, so a wrapper installed over
-#: ``proxinv.cli.prox_*`` sees the CLI's calls
+#: operator name -> (prox(x, rho, tol, init_fraction), penalty, c), where the
+#: plane point (a, a) with a = sqrt(c / rho) is the diagonal tie point that
+#: ``region --include-boundary`` adds; the lambdas look ``prox_*`` up in this
+#: module at call time, so a wrapper installed over ``proxinv.cli.prox_*``
+#: sees the CLI's calls
 _OPERATORS = {
-    "l0": (lambda x, rho, tol, init_fraction: prox_l0(x, rho, tol), l0_value),
-    "h1": (lambda x, rho, tol, init_fraction: prox_h1(x, rho, tol, init_fraction=init_fraction), h1_value),
-    "h2": (lambda x, rho, tol, init_fraction: prox_h2(x, rho, tol), h2_value),
+    "l0": (lambda x, rho, tol, init_fraction: prox_l0(x, rho, tol), l0_value, 2.0),
+    "h1": (
+        lambda x, rho, tol, init_fraction: prox_h1(x, rho, tol, init_fraction=init_fraction),
+        h1_value,
+        float(np.sqrt(2.0)),
+    ),
+    "h2": (lambda x, rho, tol, init_fraction: prox_h2(x, rho, tol), h2_value, 2.0),
 }
 
 
@@ -67,7 +73,7 @@ def _fmt(v: float) -> str:
 
 def _cmd_prox(args) -> int:
     x = _parse_vector(args.x)
-    prox, _ = _OPERATORS[args.fn]
+    prox, _, _ = _OPERATORS[args.fn]
     ps = prox(x, args.rho, _tolerances(args), args.init_fraction)
     payload = {
         "contains_zero": ps.contains_zero,
@@ -89,6 +95,7 @@ def _region_label(ps) -> str:
 
 def _cmd_region(args) -> int:
     tol = _tolerances(args)
+    prox, _, diag_c = _OPERATORS[args.fn]
     if args.grid < 1 or args.xmax <= 0.0:
         raise ValueError("grid must be >= 1 and xmax positive")
     h = args.xmax / args.grid
@@ -99,9 +106,8 @@ def _cmd_region(args) -> int:
         thr = float(np.sqrt(2.0 / args.rho))
         for k in range(args.grid):
             rows.append((thr, k * thr / max(args.grid - 1, 1)))
-        diag = thr if args.fn in ("l0", "h2") else float(np.sqrt(np.sqrt(2.0) / args.rho))
+        diag = float(np.sqrt(diag_c / args.rho))
         rows.append((diag, diag))
-    prox, _ = _OPERATORS[args.fn]
     out = sys.stdout
     for x1, x2 in rows:
         ps = prox(np.array([x1, x2]), args.rho, tol, 0.5)
@@ -146,7 +152,7 @@ def _cmd_oracle(args) -> int:
         print("oracle comparison supports dimensions up to 3", file=sys.stderr)
         return 2
     rho = args.rho
-    prox, penalty = _OPERATORS[args.fn]
+    prox, penalty, _ = _OPERATORS[args.fn]
     ps = prox(x, rho, _tolerances(args), 0.5)
     candidates = list(ps.points)
     if ps.contains_zero:

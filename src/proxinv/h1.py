@@ -9,10 +9,14 @@ the full-sphere stationary direction has all entries negative
 * in the plane, the angular derivative of the direction objective factors
   into a positive function times a strictly convex one, so safeguarded
   bisection on that factor (and on its derivative) finds the exact angle;
-* in general dimension the sphere constraint is relaxed to the unit-ball
-  slice of the descending nonnegative cone, where the minimizer is either
-  the origin or a sphere point, and projected gradient iterations with a
-  cone-then-ball projection converge to it.
+* in general dimension every direction that can beat the origin is a soft
+  threshold of the sorted input whose threshold solves one quartic per
+  support size (built from prefix sums), so a scan over support sizes plus
+  the first axis finds the exact direction (:func:`wstep_h1`).
+
+Projected gradient on the relaxed unit-ball slice of the descending cone
+(:func:`pgd_wstep` with :func:`project_ball_cone`) is kept as a reference
+solver; the prox itself does not use it.
 """
 
 from __future__ import annotations
@@ -338,8 +342,81 @@ def pgd_wstep(
     )
 
 
-def _direction_gap(sol: WStepSolution) -> float:
-    return 0.0 if sol.origin else float(sol.g_value)
+#: slack of the piece interval test, in units of the largest entry
+_PIECE_SLACK = 1e-9
+#: imaginary part up to which an eigenvalue counts as a real root: a real
+#: double root may come back as a complex pair split by about sqrt(eps)
+_REAL_ROOT_IMAG = 1e-6
+
+
+def wstep_h1(x_sorted, rho: float) -> WStepSolution:
+    """Exact direction by a KKT scan over support sizes.
+
+    On the sorted positive entries x, a minimizer of
+    G(w) = -(rho/2)<x,w>^2 + ||w||_1 over the nonnegative unit sphere with
+    G < ||w||_1/2 has a positive sphere multiplier, so w is proportional to
+    the soft threshold (x - tau)_+ with tau = 1/(rho <x,w>); any other
+    minimizer has G >= 1/2, where the origin wins the decision step anyway.
+    With support size k and prefix sums A = sum x_i^2, B = sum x_i, the
+    self-consistency condition is the quartic
+
+        rho^2 B^2 tau^4 - 2 rho^2 A B tau^3 + (rho^2 A^2 - k) tau^2 + 2 B tau - A = 0
+
+    whose roots count when tau lies in [x_{k+1}, x_k) and A - tau B > 0.
+    All pieces k >= 2 are solved at once (companion eigenvalues, then three
+    Newton steps); every root kept is scored by :func:`objective_G_h1` on
+    its own unit direction, and the first axis (the k = 1 piece) is always a
+    candidate.  The lowest objective wins.
+    """
+    rho = _positive_rho(rho)
+    x = descending_vector(x_sorted)
+    if x[-1] <= 0.0:
+        raise ValueError("entries must be strictly positive (trim zeros first)")
+    m = x.size
+    # the objective is unchanged under x -> x/x1, rho -> rho*x1^2
+    x1 = float(x[0])
+    y = x / x1
+    r = rho * x1 * x1
+    best = np.zeros(m)
+    best[0] = 1.0
+    best_g = objective_G_h1(best, x, rho)
+
+    # piece k covers tau in [y_{k+1}, y_k) with y_{m+1} = 0; Cauchy-Schwarz
+    # gives tau >= 1/(r sqrt(A)), so a piece with r y_k sqrt(A) < 1 has no
+    # root (the factor 2 covers the interval slack, and keeps 1/(r B) <= 2)
+    ks = np.arange(2, m + 1)
+    hi, lo = y[1:], np.append(y[2:], 0.0)
+    A, B = np.cumsum(y * y)[1:], np.cumsum(y)[1:]
+    live = (hi > lo) & (2.0 * r * hi * np.sqrt(A) > 1.0)
+    ks, hi, lo, A, B = ks[live], hi[live], lo[live], A[live], B[live]
+    if ks.size:
+        # monic quartic tau^4 + c3 tau^3 + c2 tau^2 + c1 tau + c0, with q = 1/(r B)
+        q2 = (1.0 / (r * B)) ** 2
+        c3, c2, c1, c0 = -2.0 * A / B, (A / B) ** 2 - ks * q2, 2.0 * B * q2, -A * q2
+        comp = np.zeros((ks.size, 4, 4))
+        comp[:, 0] = -np.column_stack((c3, c2, c1, c0))
+        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+        roots = np.linalg.eigvals(comp)
+        tau = roots.real
+        near = np.abs(roots.imag) <= _REAL_ROOT_IMAG
+        near &= (tau >= lo[:, None] - _PIECE_SLACK) & (tau <= hi[:, None] + _PIECE_SLACK)
+        i, j = np.nonzero(near)
+        t = tau[i, j]
+        c3, c2, c1, c0 = c3[i], c2[i], c1[i], c0[i]
+        for _ in range(3):
+            p = (((t + c3) * t + c2) * t + c1) * t + c0
+            dp = ((4.0 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+            t = t - p / np.where(dp == 0.0, np.inf, dp)
+        t = np.clip(t, lo[i], hi[i])
+        kept = A[i] - t * B[i] > 0.0
+        for k, tk in zip(ks[i][kept].tolist(), t[kept].tolist()):
+            w = np.zeros(m)
+            w[:k] = y[:k] - tk
+            w /= np.linalg.norm(w)
+            g = objective_G_h1(w, x, rho)
+            if g < best_g:
+                best, best_g = w, g
+    return WStepSolution(w_star=best, g_value=best_g)
 
 
 def prox_h1(
@@ -351,8 +428,11 @@ def prox_h1(
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
     Dispatch after normalization and zero-trimming: closed forms for the
-    uniform (a single entry included) and planar cases; projected gradient
-    with a data-aligned interior start for dimension three and up.
+    uniform (a single entry included) and planar cases; the exact support
+    scan :func:`wstep_h1` for three or more nonzero entries.  The result is
+    always certified.  ``init_fraction`` is validated for compatibility but,
+    like ``tol.pgd_tol`` and ``tol.max_iter``, has no effect: they tune the
+    reference solver :func:`pgd_wstep` only.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
@@ -369,23 +449,7 @@ def prox_h1(
     elif m == 2:
         ps = prox_h1_r2(head, rho, tol)
     else:
-        # The origin is always a stationary point of the relaxed problem, so
-        # a start inside its capture basin can miss a sphere minimizer.  A
-        # second run from the sphere end of the data ray plus the bare first
-        # axis are extra feasible candidates; keeping the lowest direction
-        # objective can only improve the decision step.
-        nrm = float(np.linalg.norm(head))
-        best = pgd_wstep(head, rho, project_ball_cone(init_fraction * head / nrm), tol)
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        candidates = (
-            pgd_wstep(head, rho, head / nrm, tol),
-            WStepSolution(w_star=e1, g_value=objective_G_h1(e1, head, rho)),
-        )
-        for cand in candidates:
-            if _direction_gap(cand) < _direction_gap(best):
-                best = cand
-        ps = wrd_assemble(head, rho, best, tol)
+        ps = wrd_assemble(head, rho, wstep_h1(head, rho), tol)
 
     n = xs.size
 

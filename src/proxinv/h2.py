@@ -97,7 +97,8 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
     d = 2.0 - rho * alpha * alpha
     f_zero = 0.5 * rho * alpha * alpha * n
     g_diag = 0.5 * d * n
-    family = UNIFORM_SPHERE if is_tie(g_diag, f_zero, tol) else None
+    # the nonnegative sphere of one coordinate is a single point, not a family
+    family = UNIFORM_SPHERE if n >= 2 and is_tie(g_diag, f_zero, tol) else None
     return decision_step(g_diag, f_zero, np.full(n, alpha), tol, family=family, zero_gap=0.5 * d)
 
 
@@ -163,7 +164,8 @@ def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStep
     if uniform_value(head) is not None:
         w = padded(np.full(k, 1.0 / np.sqrt(k)))
         g = objective_G_h2(w, x, rho)
-        family = UNIFORM_SPHERE if is_tie(g, 0.5 * rho * float(head @ head), tol) else None
+        # tested against the full vector's F(0), the value wrd_assemble decides with
+        family = UNIFORM_SPHERE if k >= 2 and is_tie(g, 0.5 * rho * float(x @ x), tol) else None
         return WStepSolution(w_star=w, g_value=g, family=family), k
     sol2 = wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
     return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2

@@ -30,6 +30,7 @@ from proxinv import (
     prox_l0,
     sphere_qp_lambda,
     wrd_assemble,
+    wstep_h1,
     wstep_h1_r2,
     wstep_h2,
     wstep_l0,
@@ -186,6 +187,7 @@ def test_05_oracle_equivalence_h1():
             assert np.linalg.norm(sol.w_star - closed.w_star) <= 1e-5
     assert compared > 100
 
+    compared_3d = 0
     for _ in range(100):
         x = sorted_desc(rng, 0.15, 0.95, 3)
         rho = rng.uniform(1.0, 8.0)
@@ -196,6 +198,18 @@ def test_05_oracle_equivalence_h1():
         assert abs(best_f("h1", ps, x, rho) - f_o) <= bound
         d = min(np.linalg.norm(u_o - u) for u in candidates(ps, 3))
         assert d <= 1e-3
+        # the exact support scan against projected gradient: never a higher
+        # objective, and the same direction where both are decisively negative
+        exact = wstep_h1(x, rho)
+        for w0 in (project_ball_cone(0.5 * x / np.linalg.norm(x)), x / np.linalg.norm(x)):
+            sol = pgd_wstep(x, rho, w0)
+            if sol.origin:
+                continue
+            assert exact.g_value <= sol.g_value + 1e-9
+            if sol.g_value < -1e-8:
+                compared_3d += 1
+                assert np.linalg.norm(sol.w_star - exact.w_star) <= 1e-5
+    assert compared_3d > 100
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0, f"h1 oracle run took {elapsed:.1f}s"
 

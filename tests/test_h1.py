@@ -18,6 +18,7 @@ from proxinv import (
     r2_geometry,
     sphere_qp_lambda,
     trim_zeros,
+    wstep_h1,
     wstep_h1_r2,
 )
 from helpers import best_f, candidates, sorted_desc
@@ -364,6 +365,92 @@ class TestProjectedGradient:
         assert not sol.certified
 
 
+def two_start_reference(head, rho):
+    """Lowest direction objective among the candidates projected gradient
+    offers: runs from half the unit data ray and from its sphere end (origin
+    limits are no direction and drop out), plus the first axis."""
+    nrm = float(np.linalg.norm(head))
+    e1 = np.zeros(head.size)
+    e1[0] = 1.0
+    gaps = [objective_G_h1(e1, head, rho)]
+    for w0 in (project_ball_cone(0.5 * head / nrm), head / nrm):
+        sol = pgd_wstep(head, rho, w0)
+        if not sol.origin:
+            gaps.append(sol.g_value)
+    return min(gaps)
+
+
+def scan_corpus(rng, count):
+    """Sorted positive non-uniform heads, n = 3..1000, with rho spread over
+    three decades around the level where the direction objective crosses 0."""
+    kinds = ("gauss", "padded", "block", "near", "twolevel")
+    cases = []
+    while len(cases) < count:
+        kind = kinds[len(cases) % len(kinds)]
+        # mostly small n: projected gradient costs O(n) per iteration
+        n = int(rng.integers(3, 25)) if len(cases) % 11 else int(rng.integers(25, 1001))
+        x = np.abs(rng.standard_normal(n))
+        if kind == "padded":
+            x[rng.choice(n, n // 3, replace=False)] = 0.0
+        elif kind == "block":
+            x[rng.choice(n, max(2, n // 4), replace=False)] = x.max()
+        elif kind == "near":
+            x = 1.0 + 1e-6 * rng.random(n)
+        elif kind == "twolevel":
+            k = int(rng.integers(1, n))
+            x = np.concatenate([np.ones(k), np.full(n - k, rng.uniform(0.2, 0.99))])
+        head = np.sort(x[x > 0.0])[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
+        if head.size < 3 or head[0] - head[-1] <= 1e-12 * head[0]:
+            continue
+        s2 = float(head @ head)
+        rho = 10.0 ** rng.uniform(-1.5, 1.5) * 2.0 * float(head.sum()) / s2**1.5
+        cases.append((head, rho))
+    return cases
+
+
+class TestSupportScan:
+    def test_never_above_projected_gradient(self):
+        rng = np.random.default_rng(72)
+        for head, rho in scan_corpus(rng, 1000):
+            sol = wstep_h1(head, rho)
+            assert sol.certified and not sol.origin
+            w = sol.w_star
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12 and w.min() >= 0.0
+            assert sol.g_value == objective_G_h1(w, head, rho)
+            assert sol.g_value <= two_start_reference(head, rho) + 1e-9
+
+    def test_soft_threshold_form(self):
+        # a direction off the first axis is proportional to (x - tau)_+ with
+        # tau = 1/(rho <x, w>)
+        rng = np.random.default_rng(73)
+        interior = 0
+        for head, rho in scan_corpus(rng, 200):
+            w = wstep_h1(head, rho).w_star
+            if w[1] == 0.0:
+                continue
+            interior += 1
+            tau = 1.0 / (rho * float(head @ w))
+            v = np.maximum(head - tau, 0.0)
+            assert np.linalg.norm(w - v / np.linalg.norm(v)) <= 1e-8
+        assert interior > 50
+
+    def test_matches_planar_closed_form(self):
+        rng = np.random.default_rng(74)
+        for _ in range(200):
+            x = sorted_desc(rng, 0.1, 2.5, 2)
+            if x[0] - x[1] < 1e-6:
+                continue
+            rho = rng.uniform(0.2, 8.0)
+            closed, exact = wstep_h1_r2(x, rho), wstep_h1(x, rho)
+            assert exact.g_value <= closed.g_value + 1e-12
+            if closed.g_value < 0.5:
+                assert np.linalg.norm(exact.w_star - closed.w_star) <= 1e-6
+
+    def test_requires_positive_entries(self):
+        with pytest.raises(ValueError):
+            wstep_h1(np.array([2.0, 1.0, 0.0]), 1.0)
+
+
 class TestSphereRelaxationDiagnostic:
     def test_uniform_closed_form(self):
         n = 3
@@ -436,6 +523,16 @@ class TestFullProx:
             prox_h1(np.array([1.0, 0.5, 0.2]), 1.0, init_fraction=0.1)
 
     def test_uncertified_flag_on_iteration_cap(self):
+        # the cap binds in projected gradient; prox_h1 runs no iteration, so
+        # the same tolerances leave its set unchanged and certified
+        x, rho = np.array([2.0, 1.2, 0.4]), 3.0
         tol = Tolerances(pgd_tol=1e-16, max_iter=3)
-        ps = prox_h1(np.array([2.0, 1.2, 0.4]), 3.0, tol)
-        assert not ps.certified
+        sol = pgd_wstep(x, rho, project_ball_cone(0.5 * x / np.linalg.norm(x)), tol)
+        assert not sol.certified
+        ps, ref = prox_h1(x, rho, tol), prox_h1(x, rho)
+        assert ps.certified
+        for field in ("contains_zero", "family", "g_value", "certified", "tie_truncated"):
+            assert getattr(ps, field) == getattr(ref, field)
+        assert len(ps.points) == len(ref.points)
+        for p, q in zip(ps.points, ref.points):
+            assert np.array_equal(p, q)

@@ -317,6 +317,25 @@ class TestProx:
             best = min(best, time.perf_counter() - t0)
         assert best < 0.2, f"n=20000 prox_h2 at rho=1 and 3 took {best:.3f}s"
 
+    @pytest.mark.parametrize(
+        "x, rho",
+        [([1.0], 2.0), ([1.0, 0.5], 2.0 * (1 + 1e-12)), ([1.0, 0.5], 2.0), ([1.0, 0.0, 0.0], 2.0)],
+        ids=["single-entry", "one-entry-prefix", "first-axis", "zero-tail"],
+    )
+    def test_one_point_tie_has_no_family(self, x, rho):
+        # the nonnegative sphere of one coordinate is a single point
+        ps = prox_h2(x, rho)
+        assert ps.contains_zero and len(ps.points) == 1
+        assert ps.family is None
+
+    def test_family_tag_follows_decision(self):
+        # a uniform two-entry prefix whose gap ties only on the scale of the
+        # full vector's F(0): the tag must agree with the tie the decision makes
+        x = np.concatenate([[1.0, 1.0], np.full(100, 0.9)])
+        ps = prox_h2(x, 2.0 + 2e-9)
+        assert ps.contains_zero and len(ps.points) == 1
+        assert ps.family == "uniform_sphere"
+
     def test_family_representative_consistency(self):
         # at the uniform tie every sphere direction gives an equal objective
         rho = 2.0

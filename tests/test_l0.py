@@ -86,6 +86,11 @@ class TestComponentwise:
         assert np.array_equal(ps.points[0], [3.0, 1.0, 1.0, 1.0, 1.0])
         assert np.array_equal(ps.points[1], [3.0, 0.0, 0.0, 0.0, 0.0])
 
+    def test_overflowing_squares_rejected(self):
+        # x^2 and the threshold 2/rho both overflow, which read every entry as a tie
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
+            prox_l0(np.array([3.0, 2.0, 1.0]) * 1e160, 1e-320)
+
 
 class TestWStep:
     def test_two_above_threshold(self):
