@@ -33,19 +33,15 @@ from .h2 import h2_spectrum, prox_h2
 from .l0 import prox_l0
 from .oracle import brute_prox
 
-#: operator name -> (prox(x, rho, tol, init_fraction), penalty, c), where the
-#: plane point (a, a) with a = sqrt(c / rho) is the diagonal tie point that
+#: operator name -> (prox(x, rho, tol), penalty, c), where the plane point
+#: (a, a) with a = sqrt(c / rho) is the diagonal tie point that
 #: ``region --include-boundary`` adds; the lambdas look ``prox_*`` up in this
 #: module at call time, so a wrapper installed over ``proxinv.cli.prox_*``
 #: sees the CLI's calls
 _OPERATORS = {
-    "l0": (lambda x, rho, tol, init_fraction: prox_l0(x, rho, tol), l0_value, 2.0),
-    "h1": (
-        lambda x, rho, tol, init_fraction: prox_h1(x, rho, tol, init_fraction=init_fraction),
-        h1_value,
-        float(np.sqrt(2.0)),
-    ),
-    "h2": (lambda x, rho, tol, init_fraction: prox_h2(x, rho, tol), h2_value, 2.0),
+    "l0": (lambda x, rho, tol: prox_l0(x, rho, tol), l0_value, 2.0),
+    "h1": (lambda x, rho, tol: prox_h1(x, rho, tol), h1_value, float(np.sqrt(2.0))),
+    "h2": (lambda x, rho, tol: prox_h2(x, rho, tol), h2_value, 2.0),
 }
 
 
@@ -57,14 +53,9 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _tolerances(args) -> Tolerances:
-    kw = {}
     if getattr(args, "tie_tol", None) is not None:
-        kw["tie_tol"] = args.tie_tol
-    if getattr(args, "pgd_tol", None) is not None:
-        kw["pgd_tol"] = args.pgd_tol
-    if getattr(args, "max_iter", None) is not None:
-        kw["max_iter"] = args.max_iter
-    return Tolerances(**kw)
+        return Tolerances(tie_tol=args.tie_tol)
+    return Tolerances()
 
 
 def _fmt(v: float) -> str:
@@ -74,7 +65,7 @@ def _fmt(v: float) -> str:
 def _cmd_prox(args) -> int:
     x = _parse_vector(args.x)
     prox, _, _ = _OPERATORS[args.fn]
-    ps = prox(x, args.rho, _tolerances(args), args.init_fraction)
+    ps = prox(x, args.rho, _tolerances(args))
     payload = {
         "contains_zero": ps.contains_zero,
         "points": [[float(c) for c in p] for p in ps.points],
@@ -110,7 +101,7 @@ def _cmd_region(args) -> int:
         rows.append((diag, diag))
     out = sys.stdout
     for x1, x2 in rows:
-        ps = prox(np.array([x1, x2]), args.rho, tol, 0.5)
+        ps = prox(np.array([x1, x2]), args.rho, tol)
         label = _region_label(ps)
         if args.mode == "prox-map":
             u = ps.points[0] if ps.points else np.zeros(2)
@@ -153,7 +144,7 @@ def _cmd_oracle(args) -> int:
         return 2
     rho = args.rho
     prox, penalty, _ = _OPERATORS[args.fn]
-    ps = prox(x, rho, _tolerances(args), 0.5)
+    ps = prox(x, rho, _tolerances(args))
     candidates = list(ps.points)
     if ps.contains_zero:
         candidates.append(np.zeros(x.size))
@@ -193,9 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True, type=float)
     p.add_argument("--x", required=True)
     p.add_argument("--tie-tol", type=float, default=None)
-    p.add_argument("--pgd-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--init-fraction", type=float, default=0.5)
     p.set_defaults(run=_cmd_prox)
 
     p = sub.add_parser("region", help="plane region map as CSV rows")

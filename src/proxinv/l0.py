@@ -33,7 +33,7 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     the scaled tie tolerance.  Up to 3 tied entries are enumerated in full
     (2^3 = 8 combinations); more are truncated to the maximal- and
     minimal-support representatives.  Raises ``ValueError`` when a squared
-    entry or the threshold is not finite (input magnitude out of range).
+    entry is not finite (input magnitude out of range).
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
@@ -57,9 +57,9 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
         g_value = 1.0 - 0.5 * rho * float(c.max())
     # an infinite square is kept under a finite threshold (and is the max
     # under an infinite one), so g_value is infinite whenever a square is;
-    # the sum is finite iff both g_value and the threshold are
-    if not math.isfinite(g_value + c_hi):
-        raise ValueError("input magnitude out of range: squared entries or thresholds are not finite")
+    # an infinite threshold alone keeps no entry and ties none, so {0} stands
+    if not math.isfinite(g_value):
+        raise ValueError("input magnitude out of range: squared entries are not finite")
 
     if int((c >= c_lo).sum()) == n_keep:  # no borderline entries
         if kept_any:

@@ -54,6 +54,13 @@ class TestProxCommand:
             main(["prox", "--fn", "l0", "--x", "1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--pgd-tol", "--max-iter", "--init-fraction"])
+    def test_solver_tuning_flags_are_gone(self, flag):
+        # every direction step is exact, so no operator has a knob to turn
+        with pytest.raises(SystemExit) as exc:
+            main(["prox", "--fn", "h1", "--rho", "1", "--x", "2,-1.2,0.7", flag, "1"])
+        assert exc.value.code == 2
+
     def test_tie_tol_flag_widens_ties(self, capsys):
         # a huge tie tolerance turns a decisive keep into a keep-or-drop tie
         code, out, _ = run_cli(

@@ -91,6 +91,16 @@ class TestComponentwise:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
             prox_l0(np.array([3.0, 2.0, 1.0]) * 1e160, 1e-320)
 
+    def test_overflowing_square_under_finite_threshold_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
+            prox_l0(np.array([1e200, 1.0]), 1.0)
+
+    def test_overflowing_threshold_alone_gives_origin(self):
+        # 2/rho overflows, every entry is far below sqrt(2/rho), and {0} is exact
+        ps = prox_l0(np.array([3.0, 2.0, 1.0]), 1e-320)
+        assert ps.contains_zero and ps.points == []
+        assert ps.g_value == 1.0 - 0.5 * 1e-320 * 9.0
+
 
 class TestWStep:
     def test_two_above_threshold(self):
