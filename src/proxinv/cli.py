@@ -13,6 +13,7 @@ spectrum request.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -70,7 +71,6 @@ def _cmd_prox(args) -> int:
         "contains_zero": ps.contains_zero,
         "points": [[float(c) for c in p] for p in ps.points],
         "family": ps.family,
-        "certified": ps.certified,
         "g_value": float(ps.g_value),
         "tie_truncated": ps.tie_truncated,
     }
@@ -90,15 +90,12 @@ def _cmd_region(args) -> int:
     if args.grid < 1 or args.xmax <= 0.0:
         raise ValueError("grid must be >= 1 and xmax positive")
     h = args.xmax / args.grid
-    rows: list[tuple[float, float]] = [
-        ((i + 0.5) * h, (j + 0.5) * h) for i in range(args.grid) for j in range(i + 1)
-    ]
+    rows = (((i + 0.5) * h, (j + 0.5) * h) for i in range(args.grid) for j in range(i + 1))
     if args.include_boundary:
         thr = float(np.sqrt(2.0 / args.rho))
-        for k in range(args.grid):
-            rows.append((thr, k * thr / max(args.grid - 1, 1)))
         diag = float(np.sqrt(diag_c / args.rho))
-        rows.append((diag, diag))
+        edge = ((thr, k * thr / max(args.grid - 1, 1)) for k in range(args.grid))
+        rows = itertools.chain(rows, edge, [(diag, diag)])
     out = sys.stdout
     for x1, x2 in rows:
         ps = prox(np.array([x1, x2]), args.rho, tol)

@@ -111,28 +111,21 @@ def denormalize(u, perm: SignedPermutation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric knobs shared by the solvers.
+    """The one numeric knob of the operators.
 
     ``tie_tol`` is relative, in (0, 1): a decision-step tie is declared when
-    the objective gap is within ``tie_tol * (1 + |F(0)|)``.  ``root_tol`` is the
-    bracket width at which 1-D bisection stops, ``pgd_tol`` the iterate
-    difference at which projected gradient stops.
+    the objective gap is within ``tie_tol * (1 + |F(0)|)``.  Every direction
+    step is exact and finite, so no stopping tolerance or iteration cap is
+    needed; the reference solver ``pgd_wstep`` takes its own.
     """
 
     tie_tol: float = 1e-10
-    root_tol: float = 1e-12
-    pgd_tol: float = 1e-10
-    max_iter: int = 100_000
 
     def __post_init__(self):
-        for name in ("tie_tol", "root_tol", "pgd_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive finite number")
+        if not (np.isfinite(self.tie_tol) and self.tie_tol > 0.0):
+            raise ValueError("tie_tol must be a positive finite number")
         if self.tie_tol >= 1.0:
             raise ValueError("tie_tol must be below 1")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -152,15 +145,13 @@ class ProxSet:
     (with a canonical representative kept in ``points``); ``tie_truncated``
     marks that an exponential finite tie family was cut down to its maximal-
     and minimal-support representatives.  ``g_value`` is the direction-step
-    objective gap of the representative, i.e. F(point) - F(0), and
-    ``certified`` is cleared when an iterative solve hit its iteration cap.
+    objective gap of the representative, i.e. F(point) - F(0).
     """
 
     contains_zero: bool
     points: list = field(default_factory=list)
     family: str | None = None
     g_value: float = 0.0
-    certified: bool = True
     tie_truncated: bool = False
 
     def map_points(self, fn) -> "ProxSet":
@@ -170,7 +161,6 @@ class ProxSet:
             points=[fn(p) for p in self.points],
             family=self.family,
             g_value=self.g_value,
-            certified=self.certified,
             tie_truncated=self.tie_truncated,
         )
 

@@ -46,6 +46,9 @@ GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 
 _SPHERE_BRANCH_NORM = 1.0 - 1e-8
 _DICHOTOMY_BAND = 1e-6
+#: bracket width at which the 1-D root searches stop (relative to the
+#: bracket end in :func:`sphere_qp_lambda`)
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def _bisect(f, lo: float, hi: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def wstep_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> WStepSolution:
+def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     """Exact planar direction via the convex factor of the angular derivative.
 
     The factor is strictly convex on the arc with a positive right endpoint,
@@ -117,7 +120,6 @@ def wstep_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> WStepSol
     on kappa decides whether the first axis, the unique interior root, or
     the better of the two is optimal.
     """
-    tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     geom = r2_geometry(x)
@@ -134,15 +136,15 @@ def wstep_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> WStepSol
 
     if cross > 1.0:
         # factor starts negative: unique interior root is the global angle
-        theta_star = _bisect(L, 0.0, half, tol.root_tol)
+        theta_star = _bisect(L, 0.0, half, _ROOT_TOL)
     elif geom.kappa <= GOLDEN_RATIO_CONJUGATE:
         theta_star = 0.0
     else:
-        theta0 = _bisect(Lp, 0.0, half, tol.root_tol)
+        theta0 = _bisect(Lp, 0.0, half, _ROOT_TOL)
         if L(theta0) >= 0.0:
             theta_star = 0.0
         else:
-            theta1 = _bisect(L, theta0, half, tol.root_tol)
+            theta1 = _bisect(L, theta0, half, _ROOT_TOL)
             w0 = np.array([1.0, 0.0])
             w1 = np.array([math.cos(theta1), math.sin(theta1)])
             theta_star = 0.0 if objective_G_h1(w0, x, rho) <= objective_G_h1(w1, x, rho) else theta1
@@ -200,7 +202,7 @@ def prox_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Planar prox on the sorted cone: exact direction, then the decision step."""
     tol = tol or DEFAULT_TOLERANCES
     x = descending_vector(x_sorted)
-    sol = wstep_h1_r2(x, rho, tol)
+    sol = wstep_h1_r2(x, rho)
     return wrd_assemble(x, rho, sol, tol)
 
 
@@ -270,7 +272,9 @@ def pgd_wstep(
     x_sorted,
     rho: float,
     w0,
-    tol: Tolerances | None = None,
+    *,
+    pgd_tol: float = 1e-10,
+    max_iter: int = 100_000,
     trace: list | None = None,
 ) -> WStepSolution:
     """Projected gradient on the relaxed ball-slice direction problem.
@@ -280,8 +284,15 @@ def pgd_wstep(
     limit is classified as the origin branch below norm 1 - 1e-8 and as a
     sphere direction otherwise; norms far from both raise a diagnostic
     warning because only those two outcomes should occur.
+
+    The iteration stops once an update moves the iterate by at most
+    ``pgd_tol`` (a positive finite number) or after ``max_iter`` (positive)
+    updates; ``certified`` is cleared when the cap ends it.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    if not (np.isfinite(pgd_tol) and pgd_tol > 0.0):
+        raise ValueError("pgd_tol must be a positive finite number")
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if x[-1] <= 0.0:
@@ -301,7 +312,7 @@ def pgd_wstep(
     h = relaxed_objective(w)
     converged = False
     iterations = 0
-    while iterations < tol.max_iter:
+    while iterations < max_iter:
         grad = ones - rho * float(x @ w) * x
         w_next = _pav_clamp_scale(w - step * grad)
         h_next = relaxed_objective(w_next)
@@ -312,7 +323,7 @@ def pgd_wstep(
         delta = float(np.linalg.norm(w_next - w))
         w, h = w_next, h_next
         iterations += 1
-        if delta <= tol.pgd_tol:
+        if delta <= pgd_tol:
             converged = True
             break
 
@@ -419,25 +430,16 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     return WStepSolution(w_star=best, g_value=best_g)
 
 
-def prox_h1(
-    x,
-    rho: float,
-    tol: Tolerances | None = None,
-    init_fraction: float = 0.5,
-) -> ProxSet:
+def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
     Dispatch after normalization and zero-trimming: closed forms for the
     uniform (a single entry included) and planar cases; the exact support
-    scan :func:`wstep_h1` for three or more nonzero entries.  The result is
-    always certified.  ``init_fraction`` is validated for compatibility but,
-    like ``tol.pgd_tol`` and ``tol.max_iter``, has no effect: they tune the
-    reference solver :func:`pgd_wstep` only.
+    scan :func:`wstep_h1` for three or more nonzero entries.  Every step is
+    exact and finite, so ``tol.tie_tol`` is the only setting.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
-    if not 0.25 <= init_fraction <= 0.75:
-        raise ValueError("init_fraction must lie in [0.25, 0.75]")
     xs, perm = normalize(x)
     if xs[0] == 0.0:
         return ProxSet(True, [], g_value=1.0)
@@ -461,7 +463,7 @@ def prox_h1(
     return ps.map_points(pad_and_restore)
 
 
-def sphere_qp_lambda(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[float, np.ndarray]:
+def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
     """Diagnostic: stationary multiplier and direction of the full-sphere
     relaxation of the direction problem.
 
@@ -471,7 +473,6 @@ def sphere_qp_lambda(x_sorted, rho: float, tol: Tolerances | None = None) -> tup
     of the returned unit direction is negative, which is why the full-sphere
     relaxation cannot solve the nonnegative direction problem.
     """
-    tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if x[0] == 0.0:
@@ -497,7 +498,7 @@ def sphere_qp_lambda(x_sorted, rho: float, tol: Tolerances | None = None) -> tup
             break
         hi *= 2.0
     lo = 0.0
-    while hi - lo > tol.root_tol * (1.0 + hi):
+    while hi - lo > _ROOT_TOL * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         if quartic(mid) < 0.0:
             lo = mid
@@ -518,7 +519,7 @@ def sphere_qp_lambda(x_sorted, rho: float, tol: Tolerances | None = None) -> tup
     return lam, w
 
 
-def curves_intersection_kappa(root_tol: float = 1e-12) -> float:
+def curves_intersection_kappa() -> float:
     """Entry ratio at which the two boundary curves of the guaranteed-nonzero
     planar region meet; the unique root of an increasing quintic on [0, 1]."""
 
@@ -526,7 +527,7 @@ def curves_intersection_kappa(root_tol: float = 1e-12) -> float:
         return ((k * k + 3.0) * k * k + 2.0) * k - 2.0
 
     lo, hi = 0.0, 1.0
-    while hi - lo > root_tol:
+    while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if poly(mid) < 0.0:
             lo = mid

@@ -38,9 +38,9 @@ class WStepSolution:
     ``w_star`` is a unit vector in the nonnegative part of the sphere and
     ``g_value`` its objective value, the exact gap used by the decision step.
     ``origin`` marks the relaxed-ball solve collapsing to the origin (then
-    ``w_star`` is all zeros).  ``limit_norm`` and ``iterations`` are
-    diagnostics from iterative solvers; ``certified`` is cleared on a hit
-    iteration cap.
+    ``w_star`` is all zeros).  ``limit_norm``, ``iterations`` and
+    ``certified`` (cleared on a hit iteration cap) are diagnostics of the
+    iterative reference solver; the decision step does not read them.
     """
 
     w_star: np.ndarray
@@ -69,24 +69,23 @@ def decision_step(
     point: np.ndarray,
     tol: Tolerances,
     family: str | None = None,
-    certified: bool = True,
     zero_gap: float | None = None,
 ) -> ProxSet:
     """Keep the origin, ``point``, or both, from the sign of the gap F(point) - F(0).
 
     A tie within :func:`is_tie` keeps both, a negative gap keeps ``point``
     and a positive gap the origin, reported with ``zero_gap`` when given
-    (else the gap itself).  ``family`` and ``certified`` pass through.
+    (else the gap itself).  ``family`` passes through.
     Raises ``ValueError`` when ``g_value`` or ``f_zero`` is not finite
     (the input magnitude is out of range).
     """
     g = float(g_value)
     if is_tie(g, f_zero, tol):
-        return ProxSet(True, [point], family=family, g_value=g, certified=certified)
+        return ProxSet(True, [point], family=family, g_value=g)
     if g < 0.0:
-        return ProxSet(False, [point], family=family, g_value=g, certified=certified)
+        return ProxSet(False, [point], family=family, g_value=g)
     g_zero = g if zero_gap is None else zero_gap
-    return ProxSet(True, [], family=family, g_value=g_zero, certified=certified)
+    return ProxSet(True, [], family=family, g_value=g_zero)
 
 
 def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | None = None) -> ProxSet:
@@ -101,13 +100,7 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     x = np.asarray(x_sorted, dtype=float)
 
     if sol.origin:
-        return ProxSet(
-            contains_zero=True,
-            points=[],
-            family=sol.family,
-            g_value=0.0,
-            certified=sol.certified,
-        )
+        return ProxSet(True, [], family=sol.family, g_value=0.0)
 
     w = np.asarray(sol.w_star, dtype=float)
     if w.shape != x.shape:
@@ -123,4 +116,4 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     r = max(r, 0.0)
 
     f_zero = 0.5 * rho * float(x @ x)
-    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family, certified=sol.certified)
+    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family)

@@ -21,7 +21,7 @@ class TestProxCommand:
         assert payload["contains_zero"] is False
         assert payload["points"] == [[2.0, 0.0]]
         assert payload["family"] is None
-        assert payload["certified"] is True
+        assert set(payload) == {"contains_zero", "points", "family", "g_value", "tie_truncated"}
 
     def test_reference_vector(self, capsys):
         code, out, _ = run_cli(

