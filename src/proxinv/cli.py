@@ -6,8 +6,8 @@ so boundary ties are not hit accidentally); ``spectrum`` dumps the rank-2
 eigenstructure as JSON; ``oracle`` compares an analytic result against the
 brute-force grid and sets the exit code accordingly.
 
-Exit codes: 0 success, 1 oracle mismatch, 2 usage/input errors, 3 degenerate
-spectrum request.
+Exit codes: 0 success, 1 oracle mismatch, 2 usage/input errors (an input
+magnitude out of range included), 3 degenerate spectrum request.
 """
 
 from __future__ import annotations
@@ -119,16 +119,18 @@ def _cmd_spectrum(args) -> int:
         )
         return 3
     spec = h2_spectrum(xs, args.rho)
-    w_lo = spec.w_lo / np.linalg.norm(spec.w_lo)
-    w_hi = spec.w_hi / np.linalg.norm(spec.w_hi)
+    norm_lo, norm_hi = np.linalg.norm(spec.w_lo), np.linalg.norm(spec.w_hi)
+    scalars = (spec.delta, spec.alpha_lo, spec.alpha_hi, spec.lambda_pos, spec.lambda_neg)
+    if not np.all(np.isfinite((*scalars, norm_lo, norm_hi))):
+        raise ValueError("input magnitude out of range: spectrum is not finite")
     payload = {
         "delta": spec.delta,
         "alpha_lo": spec.alpha_lo,
         "alpha_hi": spec.alpha_hi,
         "lambda_pos": spec.lambda_pos,
         "lambda_neg": spec.lambda_neg,
-        "w_lo": [float(c) for c in w_lo],
-        "w_hi": [float(c) for c in w_hi],
+        "w_lo": [float(c) for c in spec.w_lo / norm_lo],
+        "w_hi": [float(c) for c in spec.w_hi / norm_hi],
     }
     print(json.dumps(payload))
     return 0

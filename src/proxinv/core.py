@@ -9,6 +9,7 @@ direction solvers minimize on the nonnegative part of the unit sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ def descending_vector(x) -> np.ndarray:
 
 def _positive_rho(rho: float) -> float:
     rho = float(rho)
-    if not np.isfinite(rho) or rho <= 0.0:
+    if not math.isfinite(rho) or rho <= 0.0:
         raise ValueError("rho must be a positive finite number")
     return rho
 

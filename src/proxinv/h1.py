@@ -268,6 +268,20 @@ def project_ball_cone(v) -> np.ndarray:
     return _pav_clamp_scale(as_vector(v))
 
 
+@dataclass
+class PgdSolution:
+    """Result of :func:`pgd_wstep`: a sphere direction with its gap, or an
+    ``origin`` limit with all-zero ``w_star`` and ``g_value`` 0, plus the
+    limit's norm, the update count and the ``certified`` flag."""
+
+    w_star: np.ndarray
+    g_value: float
+    certified: bool
+    origin: bool
+    limit_norm: float
+    iterations: int
+
+
 def pgd_wstep(
     x_sorted,
     rho: float,
@@ -276,14 +290,15 @@ def pgd_wstep(
     pgd_tol: float = 1e-10,
     max_iter: int = 100_000,
     trace: list | None = None,
-) -> WStepSolution:
-    """Projected gradient on the relaxed ball-slice direction problem.
+) -> PgdSolution:
+    """Projected gradient on the relaxed ball-slice direction problem; a
+    reference solver that no prox calls.
 
     Steps with 1/(2*rho*||x||^2), half the inverse gradient Lipschitz
     constant, so the objective decreases every iteration (checked).  The
-    limit is classified as the origin branch below norm 1 - 1e-8 and as a
-    sphere direction otherwise; norms far from both raise a diagnostic
-    warning because only those two outcomes should occur.
+    limit is classified as the origin below norm 1 - 1e-8 and as a sphere
+    direction otherwise; norms far from both raise a diagnostic warning
+    because only those two outcomes should occur.
 
     The iteration stops once an update moves the iterate by at most
     ``pgd_tol`` (a positive finite number) or after ``max_iter`` (positive)
@@ -334,20 +349,13 @@ def pgd_wstep(
             "expected the origin or a sphere point",
             RuntimeWarning,
         )
-    if nu < _SPHERE_BRANCH_NORM:
-        return WStepSolution(
-            w_star=np.zeros_like(w),
-            g_value=0.0,
-            certified=converged,
-            origin=True,
-            limit_norm=nu,
-            iterations=iterations,
-        )
-    w_star = w / nu
-    return WStepSolution(
+    origin = nu < _SPHERE_BRANCH_NORM
+    w_star = np.zeros_like(w) if origin else w / nu
+    return PgdSolution(
         w_star=w_star,
-        g_value=objective_G_h1(w_star, x, rho),
+        g_value=0.0 if origin else objective_G_h1(w_star, x, rho),
         certified=converged,
+        origin=origin,
         limit_norm=nu,
         iterations=iterations,
     )
@@ -433,25 +441,22 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
 def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
-    Dispatch after normalization and zero-trimming: closed forms for the
-    uniform (a single entry included) and planar cases; the exact support
-    scan :func:`wstep_h1` for three or more nonzero entries.  Every step is
-    exact and finite, so ``tol.tie_tol`` is the only setting.
+    The direction lives on the m nonzero sorted entries: {0} for m = 0, the
+    uniform closed form for a uniform head, else one radius and decision
+    step on :func:`wstep_h1_r2` (m = 2) or :func:`wstep_h1` (m >= 3).
+    Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     xs, perm = normalize(x)
-    if xs[0] == 0.0:
+    m = int(np.count_nonzero(xs))
+    if m == 0:
         return ProxSet(True, [], g_value=1.0)
-    head, _removed = trim_zeros(xs)
-    m = head.size
-
+    head = xs[:m]
     if uniform_value(head) is not None:
         ps = prox_h1_uniform(head[0], m, rho, tol)
-    elif m == 2:
-        ps = prox_h1_r2(head, rho, tol)
     else:
-        ps = wrd_assemble(head, rho, wstep_h1(head, rho), tol)
+        ps = wrd_assemble(head, rho, (wstep_h1_r2 if m == 2 else wstep_h1)(head, rho), tol)
 
     n = xs.size
 
@@ -526,11 +531,4 @@ def curves_intersection_kappa() -> float:
     def poly(k: float) -> float:
         return ((k * k + 3.0) * k * k + 2.0) * k - 2.0
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if poly(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(poly, 0.0, 1.0, _ROOT_TOL)

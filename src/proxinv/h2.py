@@ -51,7 +51,12 @@ class H2Spectrum:
 
 
 def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
-    """Closed-form eigenpairs of 2*e*e^T - rho*x*x^T for non-uniform sorted x."""
+    """Closed-form eigenpairs of 2*e*e^T - rho*x*x^T for non-uniform sorted x.
+
+    Raises ``ValueError`` when the sum or the squared norm of x is not finite
+    (input magnitude out of range).  An infinite ``delta`` alone is kept:
+    the eigenvector ``w_lo`` can still be exact there.
+    """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if uniform_value(x) is not None:
@@ -59,6 +64,8 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
     n = x.size
     s1 = float(x.sum())
     s2 = float(x @ x)
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise ValueError("input magnitude out of range: sum or squared norm is not finite")
     m = 0.5 * rho * s2 + n
     delta = max(m * m - 2.0 * rho * s1 * s1, 0.0)
     alpha_hi = m + np.sqrt(delta)

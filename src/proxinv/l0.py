@@ -105,7 +105,7 @@ def wstep_l0(x_sorted, rho: float) -> WStepSolution:
     k = max(1, int(np.count_nonzero(x > thr)))
     head = x[:k]
     head_sq = float(head @ head)
-    w = np.zeros_like(x)
+    w = np.zeros(x.size)
     w[:k] = head / math.sqrt(head_sq)
     g = k - 0.5 * rho * head_sq
     return WStepSolution(w_star=w, g_value=g)

@@ -4,7 +4,9 @@ Grid minimization of the proximal objective and of the direction objective,
 kept deliberately independent of the analytic solvers: the objectives are
 re-derived inline from their definitions.  Ties are broken by the first
 (lexicographically smallest) grid index, and the origin and the input point
-are always evaluated explicitly regardless of grid alignment.
+are always evaluated explicitly regardless of grid alignment.  The proximal
+grids search the nonnegative orthant on |x| and give the minimizer the signs
+of x, which is exact for every sign-invariant penalty.
 
 The 3-D sphere sweep exploits the outer-product structure of the angular
 parameterization (w = [cos t1, sin t1 cos t2, sin t1 sin t2]) so the grid
@@ -27,6 +29,14 @@ def _angles(resolution: float) -> np.ndarray:
     if th[-1] < 0.5 * np.pi - 1e-15:
         th = np.append(th, 0.5 * np.pi)
     return th
+
+
+def _cos_sin(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin on the angle grid with cos set to an exact 0 at the end
+    angle pi/2, where it rounds to about 6e-17 (a coordinate l0 would count)."""
+    c, s = np.cos(th), np.sin(th)
+    c[-1] = 0.0
+    return c, s
 
 
 def _dir_g_2d(th: np.ndarray, x: np.ndarray, rho: float, objective: str) -> np.ndarray:
@@ -136,10 +146,20 @@ def brute_prox(
     ``method='box'`` sweeps [0, box]^n (dimensions 1 and 2); ``'sphere'``
     sweeps spherical angles with the radius set exactly to max(0, <x, w>),
     which is optimal for any fixed direction (dimensions 2 and 3).  The
-    default picks box for n <= 2 and sphere for n = 3.
+    default picks box for n <= 2 and sphere for n = 3.  ``resolution`` must
+    be positive and finite, and so must ``box`` for the box grid (the
+    sphere grid ignores it).  Signed inputs are solved on |x|.
     """
     rho = _positive_rho(rho)
     x = as_vector(x)
+    signs = np.where(x < 0.0, -1.0, 1.0)
+    u, f = _grid_prox(np.abs(x), rho, objective, box, resolution, method)
+    return signs * u, f
+
+
+def _grid_prox(
+    x: np.ndarray, rho: float, objective: str, box: float, resolution: float, method: str
+) -> tuple[np.ndarray, float]:
     n = x.size
     if objective not in ("l0", "h1", "h2"):
         raise ValueError("objective must be 'l0', 'h1' or 'h2'")
@@ -149,8 +169,10 @@ def brute_prox(
         raise ValueError("box oracle supports dimensions 1 and 2 only")
     if method == "sphere" and n not in (2, 3):
         raise ValueError("sphere oracle supports dimensions 2 and 3 only")
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not (np.isfinite(resolution) and resolution > 0.0):
+        raise ValueError("resolution must be a positive finite number")
+    if method == "box" and not (np.isfinite(box) and box > 0.0):
+        raise ValueError("box must be a positive finite number")
 
     s2 = float(x @ x)
     best_u = np.zeros(n)
@@ -184,7 +206,7 @@ def brute_prox(
     half_rho_s2 = 0.5 * rho * s2
 
     if n == 2:
-        c, s = np.cos(th), np.sin(th)
+        c, s = _cos_sin(th)
         r = np.clip(c * x[0] + s * x[1], 0.0, None)
         if objective == "l0":
             fw = (c > 0.0).astype(float) + (s > 0.0).astype(float)
@@ -198,14 +220,14 @@ def brute_prox(
             best_f = float(F[i])
         return best_u, best_f
 
-    c2, s2v = np.cos(th), np.sin(th)
+    c2, s2v = _cos_sin(th)
     a = c2 * x[1] + s2v * x[2]
     b = c2 + s2v
     if objective == "l0":
         col_counts = (c2 > 0.0).astype(float) + (s2v > 0.0).astype(float)
     best_ij = None
     for i in range(th.size):
-        c1, s1 = float(np.cos(th[i])), float(np.sin(th[i]))
+        c1, s1 = float(c2[i]), float(s2v[i])
         r = np.clip(c1 * x[0] + s1 * a, 0.0, None)
         if objective == "l0":
             fw = (1.0 if c1 > 0.0 else 0.0) + (col_counts if s1 > 0.0 else 0.0)
@@ -219,6 +241,6 @@ def brute_prox(
             best_ij = (i, j, float(r[j]))
     if best_ij is not None:
         i, j, rbest = best_ij
-        c1, s1 = float(np.cos(th[i])), float(np.sin(th[i]))
+        c1, s1 = float(c2[i]), float(s2v[i])
         best_u = rbest * np.array([c1, s1 * float(c2[j]), s1 * float(s2v[j])])
     return best_u, best_f

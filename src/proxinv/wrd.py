@@ -33,23 +33,16 @@ _NEG_ATOL = 1e-12
 
 @dataclass
 class WStepSolution:
-    """Output of a direction solver.
+    """Output of a direction solver: what the decision step reads.
 
     ``w_star`` is a unit vector in the nonnegative part of the sphere and
     ``g_value`` its objective value, the exact gap used by the decision step.
-    ``origin`` marks the relaxed-ball solve collapsing to the origin (then
-    ``w_star`` is all zeros).  ``limit_norm``, ``iterations`` and
-    ``certified`` (cleared on a hit iteration cap) are diagnostics of the
-    iterative reference solver; the decision step does not read them.
+    ``family`` tags an infinite tie family and passes through to the result.
     """
 
     w_star: np.ndarray
     g_value: float
     family: str | None = None
-    certified: bool = True
-    origin: bool = False
-    limit_norm: float = 1.0
-    iterations: int = 0
 
 
 def is_tie(g_value: float, f_zero: float, tol: Tolerances) -> bool:
@@ -93,15 +86,12 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
 
     Returns {0} when the gap is decisively positive, {r*w} when decisively
     negative, and both on a tie within the scaled tie tolerance
-    (:func:`decision_step`).
+    (:func:`decision_step`).  A ``w_star`` that is not a nonnegative unit
+    vector (the all-zero one included) raises ``ValueError``.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = np.asarray(x_sorted, dtype=float)
-
-    if sol.origin:
-        return ProxSet(True, [], family=sol.family, g_value=0.0)
-
     w = np.asarray(sol.w_star, dtype=float)
     if w.shape != x.shape:
         raise ValueError("dimension mismatch")

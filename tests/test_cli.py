@@ -182,6 +182,15 @@ class TestSpectrumCommand:
         assert code == 3
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("xs", ["1e200,1", "1e80,5e79"])
+    def test_out_of_range_exit_2(self, capsys, xs):
+        # the first overflows the squared norm, the second only the discriminant
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, ["spectrum", "--rho", "1", "--x", xs])
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
+
 
 class TestOracleCommand:
     def test_pass_case(self, capsys):
@@ -218,3 +227,32 @@ class TestOracleCommand:
             capsys, ["oracle", "--fn", "h1", "--rho", "1", "--x", "1,2,3,4"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--fn", "h1", "--rho", "1", "--x=2,-1.2,0.7"],
+            ["--fn", "l0", "--rho", "2", "--x", "0.1,3,0.2"],
+            ["--fn", "h2", "--rho", "2.5", "--x=-1.5,2.5"],
+        ],
+        ids=["h1-signed", "l0-unsorted", "h2-signed-plane"],
+    )
+    def test_signed_and_unsorted_inputs_pass(self, capsys, argv):
+        code, out, _ = run_cli(capsys, ["oracle", *argv])
+        assert code == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--box", "-1"), ("--box", "0"), ("--box", "inf"),
+            ("--resolution", "inf"), ("--resolution", "nan"), ("--resolution", "0"),
+        ],
+    )
+    def test_bad_grid_settings_exit_2(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, ["oracle", "--fn", "h1", "--rho", "1", "--x", "1,0.5", flag, value]
+        )
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert "positive finite" in err

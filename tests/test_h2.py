@@ -107,6 +107,17 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             h2_spectrum(np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("x", [[1e200, 1.0], [1e160, 5e159, 1.0]])
+    def test_non_finite_sums_rejected(self, x):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
+            h2_spectrum(np.array(x), 1.0)
+
+    def test_infinite_discriminant_kept(self):
+        # delta overflows, but the sums are finite and w_lo stays exact
+        spec = h2_spectrum(np.array([1e80, 5e79, 2e79]), 1.0)
+        assert spec.delta == np.inf
+        assert np.array_equal(spec.w_lo, [1e80, 5e79, 2e79])
+
 
 class TestMu:
     def test_reference_vector(self):

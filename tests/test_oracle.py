@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from proxinv import brute_prox, brute_wstep, prox_l0, wstep_h2_r2
-from helpers import f_value
+from proxinv import brute_prox, brute_wstep, prox_h1, prox_h2, prox_l0, wstep_h2_r2
+from helpers import best_f, f_value
 
 
 class TestBruteWStep:
@@ -92,3 +92,43 @@ class TestBruteProx:
         u, f = brute_prox(np.array([1.7]), 2.0, "l0", 3.0, 1e-4)
         assert abs(u[0] - 1.7) <= 1e-3
         assert f == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("fn", ["l0", "h1", "h2"])
+    @pytest.mark.parametrize(
+        "x, method",
+        [([2.0, -1.2, 0.7], "sphere"), ([0.2, -0.9, 1.6], "sphere"), ([1.7, -1.4], "box")],
+    )
+    def test_signed_unsorted_inputs(self, fn, x, method):
+        # the grid solves |x| and gives the minimizer the signs of x
+        x = np.array(x)
+        rho = 1.5
+        prox = {"l0": prox_l0, "h1": prox_h1, "h2": prox_h2}[fn]
+        u, f = brute_prox(x, rho, fn, 3.0, 2e-3, method=method)
+        assert f == pytest.approx(f_value(fn, u, x, rho), abs=1e-12)
+        assert np.all(u * x >= 0.0)
+        assert abs(f - best_f(fn, prox(x, rho), x, rho)) <= max(1e-5, 10.0 * 4e-6 * rho * float(x @ x))
+
+    @pytest.mark.parametrize("x", [[0.1, 3.0, 0.2], [3.0, 0.1], [0.1, 3.0]])
+    def test_l0_end_angles_count_zero(self, x):
+        # cos(pi/2) rounds to about 6e-17; the coordinate still counts as zero,
+        # so the minimizer keeps only the 3.0 entry: F = ||x||^2 - 9 + 1 at rho 2
+        x = np.array(x)
+        u, f = brute_prox(x, 2.0, "l0", 0.0, 1e-3, method="sphere")
+        assert f == pytest.approx(1.0 + float(x @ x) - 9.0)
+        assert np.max(np.abs(u - np.where(x == 3.0, 3.0, 0.0))) <= 1e-12
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, np.inf, np.nan])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            brute_prox(np.array([1.0, 0.5]), 1.0, "h1", 2.0, resolution)
+
+    @pytest.mark.parametrize("box", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_box_on_box_grid(self, box):
+        with pytest.raises(ValueError, match="box"):
+            brute_prox(np.array([1.0, 0.5]), 1.0, "h1", box, 1e-3, method="box")
+
+    def test_sphere_grid_ignores_box(self):
+        x = np.array([1.0, 0.5])
+        _, f0 = brute_prox(x, 1.0, "h1", 0.0, 1e-3, method="sphere")
+        _, f1 = brute_prox(x, 1.0, "h1", np.inf, 1e-3, method="sphere")
+        assert f0 == f1

@@ -55,12 +55,6 @@ def test_family_tag_propagates():
     assert ps.family == "uniform_sphere"
 
 
-def test_origin_solution_passthrough():
-    sol = WStepSolution(w_star=np.zeros(3), g_value=0.0, origin=True, certified=False)
-    ps = wrd_assemble(np.array([1.0, 0.5, 0.2]), 1.0, sol)
-    assert ps.contains_zero and ps.points == []
-
-
 def test_rejects_bad_directions():
     x = np.array([1.0, 0.5])
     with pytest.raises(ValueError):
@@ -68,6 +62,8 @@ def test_rejects_bad_directions():
     w = np.array([1.0, -1.0]) / np.sqrt(2.0)
     with pytest.raises(ValueError):
         wrd_assemble(x, 1.0, WStepSolution(w_star=w, g_value=0.0))
+    with pytest.raises(ValueError):
+        wrd_assemble(x, 1.0, WStepSolution(w_star=np.zeros(2), g_value=0.0))
 
 
 def test_non_finite_gap_rejected():
