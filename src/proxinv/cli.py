@@ -137,6 +137,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.tolerance is not None and not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ValueError("tolerance must be a nonnegative finite number")
     x = _parse_vector(args.x)
     if x.size > 3:
         print("oracle comparison supports dimensions up to 3", file=sys.stderr)

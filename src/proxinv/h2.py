@@ -28,7 +28,7 @@ from .core import (
     objective_G_h2,
     uniform_value,
 )
-from .wrd import WStepSolution, decision_step, is_tie, wrd_assemble
+from .wrd import WStepSolution, decision_step, wrd_assemble
 
 
 @dataclass
@@ -105,7 +105,7 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
     f_zero = 0.5 * rho * alpha * alpha * n
     g_diag = 0.5 * d * n
     # the nonnegative sphere of one coordinate is a single point, not a family
-    family = UNIFORM_SPHERE if n >= 2 and is_tie(g_diag, f_zero, tol) else None
+    family = UNIFORM_SPHERE if n >= 2 else None
     return decision_step(g_diag, f_zero, np.full(n, alpha), tol, family=family, zero_gap=0.5 * d)
 
 
@@ -126,7 +126,7 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho))
 
 
-def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStepSolution, int]:
+def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     """Direction solver on the prefix length picked by one prefix-sum scan.
 
     Returns the solution padded to full length together with the effective
@@ -134,9 +134,10 @@ def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStep
     direction matrix is entirely nonnegative the first axis is optimal;
     otherwise the prefix is the longest one, up to the negative-entry count,
     that is uniform, has two entries, or keeps the trailing entry of its
-    negative-eigenvalue direction positive (read off prefix sums).
+    negative-eigenvalue direction positive (read off prefix sums).  A
+    uniform prefix of two or more entries carries the ``uniform_sphere``
+    family tag, which the decision step reports only when the gap ties.
     """
-    tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if x[0] == 0.0:
@@ -170,10 +171,8 @@ def wstep_h2(x_sorted, rho: float, tol: Tolerances | None = None) -> tuple[WStep
     head = x[:k]
     if uniform_value(head) is not None:
         w = padded(np.full(k, 1.0 / np.sqrt(k)))
-        g = objective_G_h2(w, x, rho)
-        # tested against the full vector's F(0), the value wrd_assemble decides with
-        family = UNIFORM_SPHERE if k >= 2 and is_tie(g, 0.5 * rho * float(x @ x), tol) else None
-        return WStepSolution(w_star=w, g_value=g, family=family), k
+        family = UNIFORM_SPHERE if k >= 2 else None
+        return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho), family=family), k
     sol2 = wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
     return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2
 
@@ -189,6 +188,6 @@ def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     if au is not None:
         ps = prox_h2_uniform(au, xs.size, rho, tol)
     else:
-        sol, _ = wstep_h2(xs, rho, tol)
+        sol, _ = wstep_h2(xs, rho)
         ps = wrd_assemble(xs, rho, sol, tol)
     return ps.map_points(perm.invert)

@@ -8,9 +8,14 @@ are always evaluated explicitly regardless of grid alignment.  The proximal
 grids search the nonnegative orthant on |x| and give the minimizer the signs
 of x, which is exact for every sign-invariant penalty.
 
-The 3-D sphere sweep exploits the outer-product structure of the angular
-parameterization (w = [cos t1, sin t1 cos t2, sin t1 sin t2]) so the grid
-never materializes the direction vectors themselves.
+Every penalty here is scale invariant, so for a fixed direction w the best
+radius is max(0, <x, w>) and the direction objective is F - (rho/2)||x||^2.
+Both oracles therefore read one sweep of the spherical angle grid, which
+exploits the outer-product structure of the 3-D parameterization
+(w = [cos t1, sin t1 cos t2, sin t1 sin t2]) so the direction vectors are
+never built.  On a line every nonzero u costs (rho/2)(u - x)^2 + 1 >= F(x),
+so the explicit candidates are the answer there.  The 2-D box grid runs in
+blocks of a fixed element count, so its memory does not grow with the box.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 
 from .core import as_vector, descending_vector, _positive_rho
 
-_CHUNK = 4096
+#: elements per block of the 2-D box grid, which bounds its memory
+_BLOCK = 1 << 18
 _MAX_WSTEP_RESOLUTION = 1e-3
 
 
@@ -39,39 +45,35 @@ def _cos_sin(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _dir_g_2d(th: np.ndarray, x: np.ndarray, rho: float, objective: str) -> np.ndarray:
-    c, s = np.cos(th), np.sin(th)
-    t = c * x[0] + s * x[1]
-    u = c + s
-    if objective == "h2":
-        return u * u - 0.5 * rho * t * t
-    if objective == "h1":
-        return -0.5 * rho * t * t + u
-    raise ValueError("objective must be 'h1' or 'h2'")
+def _sphere_min(x: np.ndarray, resolution: float, value):
+    """First-index minimum of ``value(t, l1, nnz)`` on the angle grid of the
+    nonnegative unit sphere (dimensions 2 and 3).
 
-
-def _scan_3d(th: np.ndarray, x: np.ndarray, rho: float, row_values):
-    """Minimize a per-row objective over the (t1, t2) grid.
-
-    ``row_values(c1, s1, a, b)`` maps the row scalars cos/sin(t1) and the
-    column vectors a = cos(t2)*x2 + sin(t2)*x3, b = cos(t2) + sin(t2) to a
-    value row.  Returns (best_value, best_w) with first-index tie-breaking.
+    For a grid direction w, t = <x, w>, l1 = ||w||_1 and nnz is the count of
+    nonzero coordinates of w.  The 3-D grid w = [c1, s1*c2, s1*s2] is swept
+    one t1-row at a time from the column vectors of (c2, s2), so the
+    direction vectors are never built; the plane is the single row c1 = 0,
+    s1 = 1 with the leading coordinate dropped.  Returns (value, w, t).
     """
-    c2, s2 = np.cos(th), np.sin(th)
-    a = c2 * x[1] + s2 * x[2]
-    b = c2 + s2
-    c1, s1 = np.cos(th), np.sin(th)
-    best = np.inf
-    best_ij = (0, 0)
-    for i in range(th.size):
-        row = row_values(c1[i], s1[i], a, b)
-        j = int(np.argmin(row))
-        if row[j] < best:
-            best = float(row[j])
-            best_ij = (i, j)
-    i, j = best_ij
-    w = np.array([c1[i], s1[i] * c2[j], s1[i] * s2[j]])
-    return best, w
+    c, s = _cos_sin(_angles(resolution))
+    a, b, k = c * x[-2] + s * x[-1], c + s, (c > 0.0).astype(float) + (s > 0.0)
+    lead, rows = (x[0], zip(c, s)) if x.size == 3 else (0.0, [(0.0, 1.0)])
+    best, best_w, best_t = np.inf, None, 0.0
+    for c1, s1 in rows:
+        t = c1 * lead + s1 * a
+        v = value(t, c1 + s1 * b, (c1 > 0.0) + (k if s1 > 0.0 else 0.0))
+        j = int(np.argmin(v))
+        if v[j] < best:
+            best, best_t = float(v[j]), float(t[j])
+            best_w = np.array([c1, s1 * c[j], s1 * s[j]])[-x.size :]
+    return best, best_w, best_t
+
+
+def _direction_penalty(l1, nnz, objective: str):
+    """Penalty of a unit direction from its l1 norm and nonzero count."""
+    if objective == "l0":
+        return nnz
+    return l1 if objective == "h1" else l1 * l1
 
 
 def brute_wstep(x_sorted, rho: float, objective: str, resolution: float) -> tuple[np.ndarray, float]:
@@ -83,30 +85,11 @@ def brute_wstep(x_sorted, rho: float, objective: str, resolution: float) -> tupl
         raise ValueError("direction oracle supports dimensions 2 and 3 only")
     if not 0.0 < resolution <= _MAX_WSTEP_RESOLUTION + 1e-15:
         raise ValueError("resolution must be in (0, 1e-3] radians")
-    th = _angles(resolution)
-
-    if x.size == 2:
-        g = _dir_g_2d(th, x, rho, objective)
-        i = int(np.argmin(g))
-        return np.array([np.cos(th[i]), np.sin(th[i])]), float(g[i])
-
-    if objective == "h2":
-
-        def row_values(c1, s1, a, b):
-            t = c1 * x[0] + s1 * a
-            u = c1 + s1 * b
-            return u * u - 0.5 * rho * t * t
-
-    elif objective == "h1":
-
-        def row_values(c1, s1, a, b):
-            t = c1 * x[0] + s1 * a
-            return -0.5 * rho * t * t + (c1 + s1 * b)
-
-    else:
+    if objective not in ("h1", "h2"):
         raise ValueError("objective must be 'h1' or 'h2'")
-
-    g, w = _scan_3d(th, x, rho, row_values)
+    g, w, _ = _sphere_min(
+        x, resolution, lambda t, l1, nnz: _direction_penalty(l1, nnz, objective) - 0.5 * rho * t * t
+    )
     return w, g
 
 
@@ -143,7 +126,8 @@ def brute_prox(
 ) -> tuple[np.ndarray, float]:
     """Grid minimizer of the proximal objective.
 
-    ``method='box'`` sweeps [0, box]^n (dimensions 1 and 2); ``'sphere'``
+    ``method='box'`` sweeps [0, box]^2 (in dimension 1 the origin and the
+    input point are the exact answer, so no grid runs); ``'sphere'``
     sweeps spherical angles with the radius set exactly to max(0, <x, w>),
     which is optimal for any fixed direction (dimensions 2 and 3).  The
     default picks box for n <= 2 and sphere for n = 3.  ``resolution`` must
@@ -181,66 +165,28 @@ def _grid_prox(
     if fx < best_f:
         best_u, best_f = x.copy(), fx
 
-    if method == "box":
+    if method == "box" and n == 2:
         m = int(np.floor(box / resolution)) + 1
         vals = np.arange(m) * resolution
-        if n == 1:
-            F = 0.5 * rho * (vals - x[0]) ** 2 + (vals != 0.0).astype(float)
-            i = int(np.argmin(F))
-            if F[i] < best_f:
-                best_u, best_f = np.array([vals[i]]), float(F[i])
-            return best_u, best_f
         d2 = 0.5 * rho * (vals - x[1]) ** 2
-        for start in range(0, m, _CHUNK):
-            u1 = vals[start : start + _CHUNK]
-            U1 = u1[:, None]
+        rows = max(1, _BLOCK // m)
+        for start in range(0, m, rows):
+            U1 = vals[start : start + rows, None]
             F = 0.5 * rho * (U1 - x[0]) ** 2 + d2[None, :] + _penalty_grid(U1, vals[None, :], objective)
             flat = int(np.argmin(F))
             if F.flat[flat] < best_f:
                 i, j = divmod(flat, m)
-                best_u = np.array([u1[i], vals[j]])
+                best_u = np.array([vals[start + i], vals[j]])
                 best_f = float(F.flat[flat])
-        return best_u, best_f
+    elif method == "sphere":
+        half_rho_s2 = 0.5 * rho * s2
 
-    th = _angles(resolution)
-    half_rho_s2 = 0.5 * rho * s2
+        def value(t, l1, nnz):
+            r = np.clip(t, 0.0, None)
+            fw = _direction_penalty(l1, nnz, objective)
+            return np.where(r > 0.0, half_rho_s2 - 0.5 * rho * r * r + fw, half_rho_s2)
 
-    if n == 2:
-        c, s = _cos_sin(th)
-        r = np.clip(c * x[0] + s * x[1], 0.0, None)
-        if objective == "l0":
-            fw = (c > 0.0).astype(float) + (s > 0.0).astype(float)
-        else:
-            u = c + s
-            fw = u if objective == "h1" else u * u
-        F = np.where(r > 0.0, half_rho_s2 - 0.5 * rho * r * r + fw, half_rho_s2)
-        i = int(np.argmin(F))
-        if F[i] < best_f:
-            best_u = r[i] * np.array([c[i], s[i]])
-            best_f = float(F[i])
-        return best_u, best_f
-
-    c2, s2v = _cos_sin(th)
-    a = c2 * x[1] + s2v * x[2]
-    b = c2 + s2v
-    if objective == "l0":
-        col_counts = (c2 > 0.0).astype(float) + (s2v > 0.0).astype(float)
-    best_ij = None
-    for i in range(th.size):
-        c1, s1 = float(c2[i]), float(s2v[i])
-        r = np.clip(c1 * x[0] + s1 * a, 0.0, None)
-        if objective == "l0":
-            fw = (1.0 if c1 > 0.0 else 0.0) + (col_counts if s1 > 0.0 else 0.0)
-        else:
-            u = c1 + s1 * b
-            fw = u if objective == "h1" else u * u
-        F = np.where(r > 0.0, half_rho_s2 - 0.5 * rho * r * r + fw, half_rho_s2)
-        j = int(np.argmin(F))
-        if F[j] < best_f:
-            best_f = float(F[j])
-            best_ij = (i, j, float(r[j]))
-    if best_ij is not None:
-        i, j, rbest = best_ij
-        c1, s1 = float(c2[i]), float(s2v[i])
-        best_u = rbest * np.array([c1, s1 * float(c2[j]), s1 * float(s2v[j])])
+        f, w, t = _sphere_min(x, resolution, value)
+        if f < best_f:
+            best_u, best_f = max(t, 0.0) * w, f
     return best_u, best_f

@@ -37,7 +37,9 @@ class WStepSolution:
 
     ``w_star`` is a unit vector in the nonnegative part of the sphere and
     ``g_value`` its objective value, the exact gap used by the decision step.
-    ``family`` tags an infinite tie family and passes through to the result.
+    ``family`` names the infinite tie family that ``w_star`` stands for (set
+    for a direction uniform over two or more entries); the decision step
+    reports it only when the gap ties.
     """
 
     w_star: np.ndarray
@@ -68,7 +70,8 @@ def decision_step(
 
     A tie within :func:`is_tie` keeps both, a negative gap keeps ``point``
     and a positive gap the origin, reported with ``zero_gap`` when given
-    (else the gap itself).  ``family`` passes through.
+    (else the gap itself).  ``family`` is reported only on a tie, so callers
+    pass the family ``point`` stands for and leave the tie test to this rule.
     Raises ``ValueError`` when ``g_value`` or ``f_zero`` is not finite
     (the input magnitude is out of range).
     """
@@ -76,9 +79,9 @@ def decision_step(
     if is_tie(g, f_zero, tol):
         return ProxSet(True, [point], family=family, g_value=g)
     if g < 0.0:
-        return ProxSet(False, [point], family=family, g_value=g)
+        return ProxSet(False, [point], g_value=g)
     g_zero = g if zero_gap is None else zero_gap
-    return ProxSet(True, [], family=family, g_value=g_zero)
+    return ProxSet(True, [], g_value=g_zero)
 
 
 def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | None = None) -> ProxSet:

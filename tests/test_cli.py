@@ -256,3 +256,13 @@ class TestOracleCommand:
         assert code == 2
         assert "PASS" not in out and "FAIL" not in out
         assert "positive finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_2(self, capsys, value):
+        # nan and -1 would read as a mismatch and inf as a pass for any result
+        code, out, err = run_cli(
+            capsys, ["oracle", "--fn", "h2", "--rho", "2.5", "--x", "2.5,1.5,1", "--tolerance", value]
+        )
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert "tolerance" in err and "finite" in err

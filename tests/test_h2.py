@@ -207,6 +207,11 @@ class TestDirectionSolver:
         with pytest.raises(ValueError):
             wstep_h2(np.zeros(3), 1.0)
 
+    def test_takes_no_tolerance(self):
+        # the tie test that sets the family tag belongs to the decision step
+        with pytest.raises(TypeError):
+            wstep_h2(np.ones(3), 2.0, None)
+
     def test_scan_matches_prefix_walk(self):
         # the prefix-sum scan picks the same prefix and direction as the
         # per-prefix walk it replaces

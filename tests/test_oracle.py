@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,23 @@ class TestBruteWStep:
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             brute_wstep(np.array([1.0, 0.5]), 1.0, "h1", 1e-2)
+
+    @pytest.mark.parametrize("fn", ["h1", "h2"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_sphere_prox(self, fn, n):
+        # scale invariance: F(r*w) = (rho/2)||x||^2 + G(w) at the best radius,
+        # so a negative direction minimum is the proximal minimum shifted
+        rng = np.random.default_rng(90 + n)
+        compared = 0
+        for _ in range(12):
+            x = np.sort(rng.uniform(0.1, 2.0, n))[::-1].copy()
+            rho = rng.uniform(0.5, 5.0)
+            _, g = brute_wstep(x, rho, fn, 1e-3)
+            _, f = brute_prox(x, rho, fn, 0.0, 1e-3, method="sphere")
+            if g < 0.0:
+                compared += 1
+                assert abs(f - (0.5 * rho * float(x @ x) + g)) <= 1e-12
+        assert compared >= 3
 
 
 class TestBruteProx:
@@ -72,6 +91,18 @@ class TestBruteProx:
             ref = ps.points[0] if ps.points else np.zeros(2)
             assert np.array_equal(u != 0.0, ref != 0.0)
             assert abs(f - f_value("l0", ref, x, rho)) <= 10.0 * 1e-6 * rho * float(x @ x)
+
+    def test_box_grid_memory_is_bounded(self):
+        # the 2-D box grid runs in blocks of a fixed element count, so this
+        # 3916 x 3916 grid stays within a few MiB
+        x = np.array([2.5, 1.5])
+        tracemalloc.start()
+        try:
+            brute_prox(x, 2.5, "h2", float(np.linalg.norm(x)) + 1.0, 1e-3, method="box")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_sphere_and_box_agree(self):
         x = np.array([2.0, 1.0])
