@@ -22,6 +22,19 @@ UNIFORM_RTOL = 1e-12
 
 _UNIT_ATOL = 1e-12
 _NEG_ATOL = 1e-12
+#: longest dot product taken in one BLAS call: OpenBLAS splits longer ones
+#: across threads, and on a 2-vCPU VM waking the second thread cost up to a
+#: scheduler tick (about 8 ms) per dot
+_DOT_PIECE = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> of 1-D arrays, from single-thread BLAS calls of at most
+    ``_DOT_PIECE`` entries (one call, so the same bits, up to that length)."""
+    if a.size <= _DOT_PIECE:
+        return float(a @ b)
+    pieces = range(0, a.size, _DOT_PIECE)
+    return sum(float(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE]) for i in pieces)
 
 
 def _validated(x) -> np.ndarray:
@@ -179,7 +192,8 @@ def objective_F(u, x, rho: float, f_value: float) -> float:
 
 def _unit_vector(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    nrm = float(np.linalg.norm(w))
+    v = w.ravel()
+    nrm = math.sqrt(_dot(v, v))
     if abs(nrm - 1.0) > _UNIT_ATOL:
         raise ValueError("w must be a unit vector")
     return w
@@ -206,7 +220,7 @@ def objective_G_h1(w, x, rho: float) -> float:
         raise ValueError("dimension mismatch")
     if float(w.min()) < -_NEG_ATOL:
         raise ValueError("w must be nonnegative")
-    t = float(x @ w)
+    t = _dot(x, w)
     return -0.5 * rho * t * t + float(np.abs(w).sum())
 
 

@@ -10,9 +10,17 @@ the full-sphere stationary direction has all entries negative
   into a positive function times a strictly convex one, so safeguarded
   bisection on that factor (and on its derivative) finds the exact angle;
 * in general dimension every direction that can beat the origin is a soft
-  threshold of the sorted input whose threshold solves one quartic per
-  support size (built from prefix sums), so a scan over support sizes plus
-  the first axis finds the exact direction (:func:`wstep_h1`).
+  threshold (x - tau)_+ of the sorted input.  Its threshold is a root of
+  F(t) = r t <y, (y - t)_+> - ||(y - t)_+|| (y = x/x1, r = rho x1^2), which
+  is continuous and, on each support piece between two breakpoints, a
+  concave quadratic minus a convex norm: concave, with at most two roots.
+  One vector pass evaluates F at every breakpoint from prefix sums and
+  keeps the pieces where F changes sign, or where both ends are negative
+  but the end tangents reach 0 (the two-root case); each kept piece is
+  solved by a bracketed scalar Newton search, and the roots are scored with
+  the first axis (:func:`wstep_h1`).  A tied top block makes F vanish at
+  the top breakpoint with the zero direction; that root never counts, and
+  the top piece's real root has a closed form.
 
 Projected gradient on the relaxed unit-ball slice of the descending cone
 (:func:`pgd_wstep` with :func:`project_ball_cone`) is kept as a reference
@@ -32,6 +40,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     ProxSet,
     Tolerances,
+    _dot,
     _positive_rho,
     as_vector,
     descending_vector,
@@ -361,11 +370,113 @@ def pgd_wstep(
     )
 
 
-#: slack of the piece interval test, in units of the largest entry
-_PIECE_SLACK = 1e-9
-#: imaginary part up to which an eigenvalue counts as a real root: a real
-#: double root may come back as a complex pair split by about sqrt(eps)
-_REAL_ROOT_IMAG = 1e-6
+#: floor of N(t)^2 under the square root: where cancellation in the prefix
+#: sums rounds a small N^2 to zero or below, N stays positive and F' finite
+_N2_FLOOR = 1e-200
+
+
+def _piece(r: float, A: float, B: float, k: int):
+    """F and F' on the support piece of size k, with A and B the sums of
+    y_i^2 and y_i over the top k entries: there <y, (y - t)_+> = A - t B and
+    ||(y - t)_+||^2 = A - 2 t B + k t^2."""
+
+    def fd(t: float) -> tuple[float, float]:
+        q = A - t * B
+        n = math.sqrt(max(q - t * (B - k * t), _N2_FLOOR))
+        return r * t * q - n, r * (q - t * B) + (B - k * t) / n
+
+    return fd
+
+
+def _newton_root(fd, neg: float, pos: float, width: float) -> float:
+    """Root of F between ``neg`` (F < 0) and ``pos`` (F >= 0), in either order.
+
+    Newton from the last point, or the bracket midpoint whenever the Newton
+    point leaves the bracket or moves more than half the previous step, so
+    each pass halves the step or the bracket.  On a concave F, Newton from
+    the negative end stays on that side and converges monotonically.
+    """
+    t, step = neg, 2.0 * (pos - neg)
+    while abs(pos - neg) > width:
+        f, d = fd(t)
+        if f == 0.0:
+            return t
+        if f < 0.0:
+            neg = t
+        else:
+            pos = t
+        new = t - f / d if d else t
+        if not min(neg, pos) < new < max(neg, pos) or abs(new - t) > 0.5 * abs(step):
+            new = 0.5 * (neg + pos)
+        step, t = new - t, new
+        if abs(step) <= width:
+            break
+    return t
+
+
+def _peak(fd, a: float, b: float, width: float) -> float | None:
+    """A point of [a, b] where the concave F is >= 0, or None; bisects on the
+    sign of F' toward the maximum."""
+    while b - a > width:
+        t = 0.5 * (a + b)
+        f, d = fd(t)
+        if f >= 0.0:
+            return t
+        if d > 0.0:
+            a = t
+        else:
+            b = t
+    return None
+
+
+def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
+    """Every root t of F with its support size k, in increasing k, for the
+    breakpoints y (ending in 0) and r = rho*x1^2: the screen, then the
+    scalar solves (see :func:`wstep_h1`)."""
+    m = y.size - 1
+    A, B = np.cumsum(y * y), np.cumsum(y)  # A[k-1], B[k-1]: over the top k
+    roots = []
+
+    j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+    if j > 1 and y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
+        roots.append((j, 1.0 / (r * math.sqrt(j))))
+
+    # F at the breakpoints t[i] = y_{j+1+i}, i = 0..m-j, on the piece j + i
+    # below each; the piece j + 1 + p spans [t[p + 1], t[p]]
+    t = y[j:]
+    k = np.arange(j, m + 1.0)
+    Ak, Bk = A[j - 1 : m], B[j - 1 : m]
+    q = Ak - t * Bk
+    n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
+    f = r * t * q - n
+    neg = f < 0.0
+    change = neg[1:] != neg[:-1]
+    both = neg[1:] & neg[:-1]
+    both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
+    p = both.nonzero()[0]
+    if p.size:
+        # end slopes on each piece; a maximum inside needs F' > 0 at the
+        # lower end and < 0 at the upper one
+        a, b, kp, bp = t[p + 1], t[p], k[p + 1], Bk[p + 1]
+        da = r * (q[p + 1] - a * bp) + (bp - kp * a) / n[p + 1]
+        db = r * (q[p] - b * bp) + (bp - kp * b) / n[p]
+        rise = (da > 0.0) & (db < 0.0)
+        p, da, db = p[rise], da[rise], -db[rise]
+        # the tangents' zeros a - f_a/da and b + f_b/db are in order, scaled
+        # by s^2 with s = max(da, db) so that no product overflows
+        s = np.maximum(da, db)
+        da, db = da / s, db / s
+        both[:] = False
+        both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
+    for p in (change | both).nonzero()[0].tolist():
+        fd = _piece(r, float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
+        lo, hi = float(t[p + 1]), float(t[p])
+        if change[p]:
+            ends = (lo, hi) if neg[p + 1] else (hi, lo)
+            roots.append((j + 1 + p, _newton_root(fd, *ends, _ROOT_TOL)))
+        elif (top := _peak(fd, lo, hi, _ROOT_TOL)) is not None:
+            roots += [(j + 1 + p, _newton_root(fd, end, top, _ROOT_TOL)) for end in (lo, hi)]
+    return roots
 
 
 def wstep_h1(x_sorted, rho: float) -> WStepSolution:
@@ -376,16 +487,34 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     G < ||w||_1/2 has a positive sphere multiplier, so w is proportional to
     the soft threshold (x - tau)_+ with tau = 1/(rho <x,w>); any other
     minimizer has G >= 1/2, where the origin wins the decision step anyway.
-    With support size k and prefix sums A = sum x_i^2, B = sum x_i, the
-    self-consistency condition is the quartic
+    With y = x/x1, r = rho*x1^2 and t = tau/x1, the self-consistency
+    condition is a root of
 
-        rho^2 B^2 tau^4 - 2 rho^2 A B tau^3 + (rho^2 A^2 - k) tau^2 + 2 B tau - A = 0
+        F(t) = r t <y, (y - t)_+> - ||(y - t)_+||.
 
-    whose roots count when tau lies in [x_{k+1}, x_k) and A - tau B > 0.
-    All pieces k >= 2 are solved at once (companion eigenvalues, then three
-    Newton steps); every root kept is scored by :func:`objective_G_h1` on
-    its own unit direction, and the first axis (the k = 1 piece) is always a
-    candidate.  The lowest objective wins.
+    On the support piece [y_{k+1}, y_k] (prefix sums A = sum y_i^2 and
+    B = sum y_i over the top k) this is the quartic
+    (r t (A - t B))^2 = A - 2 t B + k t^2 restricted to A - t B > 0, where
+    the other factor r t (A - t B) + ||.|| is positive.  F is continuous,
+    and on a piece a concave quadratic minus a convex norm, so concave with
+    at most two roots.  Cauchy-Schwarz gives t >= 1/(r sqrt(A)), so a root
+    below y_k needs r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece
+    passes and only the first axis is scored.  Otherwise one vector pass
+    evaluates F at all breakpoints from the prefix sums; a piece is solved
+    only if F changes sign across it (one root), or if both ends are
+    negative, 2 r y_k sqrt(A) > 1 and the end tangents, which bound the
+    concave F from above, meet at or above 0.  Such a piece holds two roots when F's
+    maximum is positive, one on each side of it.  Each root is a bracketed
+    scalar Newton search on F.
+
+    A top block y_1 = ... = y_j = 1 makes F(1) = 0 with the zero direction;
+    that root never counts.  On piece j, F = (1 - t)(r j t - sqrt(j)), so
+    its one root t = 1/(r sqrt(j)) is taken in closed form.
+
+    Every root is scored by :func:`objective_G_h1` on its own unit
+    direction, together with the first axis (the k = 1 piece); the first
+    lowest objective wins and the other scored directions are returned as
+    ``rivals``, so the decision step keeps every direction that ties.
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -394,48 +523,22 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     m = x.size
     # the objective is unchanged under x -> x/x1, rho -> rho*x1^2
     x1 = float(x[0])
-    y = x / x1
-    r = rho * x1 * x1
-    best = np.zeros(m)
-    best[0] = 1.0
-    best_g = objective_G_h1(best, x, rho)
-
-    # piece k covers tau in [y_{k+1}, y_k) with y_{m+1} = 0; Cauchy-Schwarz
-    # gives tau >= 1/(r sqrt(A)), so a piece with r y_k sqrt(A) < 1 has no
-    # root (the factor 2 covers the interval slack, and keeps 1/(r B) <= 2)
-    ks = np.arange(2, m + 1)
-    hi, lo = y[1:], np.append(y[2:], 0.0)
-    A, B = np.cumsum(y * y)[1:], np.cumsum(y)[1:]
-    live = (hi > lo) & (2.0 * r * hi * np.sqrt(A) > 1.0)
-    ks, hi, lo, A, B = ks[live], hi[live], lo[live], A[live], B[live]
-    if ks.size:
-        # monic quartic tau^4 + c3 tau^3 + c2 tau^2 + c1 tau + c0, with q = 1/(r B)
-        q2 = (1.0 / (r * B)) ** 2
-        c3, c2, c1, c0 = -2.0 * A / B, (A / B) ** 2 - ks * q2, 2.0 * B * q2, -A * q2
-        comp = np.zeros((ks.size, 4, 4))
-        comp[:, 0] = -np.column_stack((c3, c2, c1, c0))
-        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-        roots = np.linalg.eigvals(comp)
-        tau = roots.real
-        near = np.abs(roots.imag) <= _REAL_ROOT_IMAG
-        near &= (tau >= lo[:, None] - _PIECE_SLACK) & (tau <= hi[:, None] + _PIECE_SLACK)
-        i, j = np.nonzero(near)
-        t = tau[i, j]
-        c3, c2, c1, c0 = c3[i], c2[i], c1[i], c0[i]
-        for _ in range(3):
-            p = (((t + c3) * t + c2) * t + c1) * t + c0
-            dp = ((4.0 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
-            t = t - p / np.where(dp == 0.0, np.inf, dp)
-        t = np.clip(t, lo[i], hi[i])
-        kept = A[i] - t * B[i] > 0.0
-        for k, tk in zip(ks[i][kept].tolist(), t[kept].tolist()):
-            w = np.zeros(m)
-            w[:k] = y[:k] - tk
-            w /= np.linalg.norm(w)
-            g = objective_G_h1(w, x, rho)
-            if g < best_g:
-                best, best_g = w, g
-    return WStepSolution(w_star=best, g_value=best_g)
+    y = np.zeros(m + 1)  # the breakpoints y_1 >= ... >= y_m > y_{m+1} = 0
+    np.divide(x, x1, out=y[:m])
+    # a root on the piece k >= 2 needs r y_k sqrt(A_k) > 1, and that is at
+    # most rho x_2 ||x||; at or below 1/2 (a factor 2 of margin) no piece can
+    # hold one
+    live = m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
+    roots = _roots(y, rho * x1 * x1) if live else []
+    scored = []
+    for kk, tk in [(1, 0.0)] + roots:  # the first axis, then the roots
+        w = np.zeros(m)
+        w[:kk] = y[:kk] - tk
+        w /= math.sqrt(_dot(w, w))
+        scored.append((w, objective_G_h1(w, x, rho)))
+    best = min(range(len(scored)), key=lambda i: scored[i][1])
+    w, g = scored.pop(best)
+    return WStepSolution(w_star=w, g_value=g, rivals=tuple(scored))
 
 
 def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:

@@ -14,8 +14,10 @@ Both oracles therefore read one sweep of the spherical angle grid, which
 exploits the outer-product structure of the 3-D parameterization
 (w = [cos t1, sin t1 cos t2, sin t1 sin t2]) so the direction vectors are
 never built.  On a line every nonzero u costs (rho/2)(u - x)^2 + 1 >= F(x),
-so the explicit candidates are the answer there.  The 2-D box grid runs in
-blocks of a fixed element count, so its memory does not grow with the box.
+so the explicit candidates are the answer there.  Both grids run in
+blocks of a fixed element count, so their memory does not grow with the
+box or the resolution, and each sweep builds only the penalty quantity
+(l1 norm or nonzero count) that its objective reads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 
 from .core import as_vector, descending_vector, _positive_rho
 
-#: elements per block of the 2-D box grid, which bounds its memory
-_BLOCK = 1 << 18
+#: elements per block of both grids: it bounds their memory, and blocks this
+#: small keep their temporaries in cache
+_BLOCK = 1 << 14
 _MAX_WSTEP_RESOLUTION = 1e-3
 
 
@@ -45,35 +48,49 @@ def _cos_sin(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _sphere_min(x: np.ndarray, resolution: float, value):
-    """First-index minimum of ``value(t, l1, nnz)`` on the angle grid of the
+def _sphere_min(x: np.ndarray, resolution: float, objective: str, value):
+    """First-index minimum of ``value(t, fw)`` on the angle grid of the
     nonnegative unit sphere (dimensions 2 and 3).
 
-    For a grid direction w, t = <x, w>, l1 = ||w||_1 and nnz is the count of
-    nonzero coordinates of w.  The 3-D grid w = [c1, s1*c2, s1*s2] is swept
-    one t1-row at a time from the column vectors of (c2, s2), so the
-    direction vectors are never built; the plane is the single row c1 = 0,
-    s1 = 1 with the leading coordinate dropped.  Returns (value, w, t).
+    For a grid direction w, t = <x, w> and fw is the penalty of w under
+    ``objective``: its nonzero count for "l0", ||w||_1 for "h1" and
+    ||w||_1^2 for "h2"; only the quantity the objective reads is built.
+    The 3-D grid w = [c1, s1*c2, s1*s2] is swept in blocks of t1-rows from
+    the row vectors of (c2, s2), so the direction vectors are never built;
+    the plane is the single row c1 = 0, s1 = 1 with the leading coordinate
+    dropped.  Returns (value, w, t).
     """
     c, s = _cos_sin(_angles(resolution))
-    a, b, k = c * x[-2] + s * x[-1], c + s, (c > 0.0).astype(float) + (s > 0.0)
-    lead, rows = (x[0], zip(c, s)) if x.size == 3 else (0.0, [(0.0, 1.0)])
-    best, best_w, best_t = np.inf, None, 0.0
-    for c1, s1 in rows:
-        t = c1 * lead + s1 * a
-        v = value(t, c1 + s1 * b, (c1 > 0.0) + (k if s1 > 0.0 else 0.0))
-        j = int(np.argmin(v))
-        if v[j] < best:
-            best, best_t = float(v[j]), float(t[j])
-            best_w = np.array([c1, s1 * c[j], s1 * s[j]])[-x.size :]
-    return best, best_w, best_t
-
-
-def _direction_penalty(l1, nnz, objective: str):
-    """Penalty of a unit direction from its l1 norm and nonzero count."""
+    a = c * x[-2] + s * x[-1]
+    if x.size == 3:
+        lead, c1, s1 = x[0], c[:, None], s[:, None]
+    else:
+        lead, c1, s1 = 0.0, np.zeros((1, 1)), np.ones((1, 1))
     if objective == "l0":
-        return nnz
-    return l1 if objective == "h1" else l1 * l1
+        k = (c > 0.0).astype(float) + (s > 0.0)
+
+        def penalty(ci, si):
+            return (ci > 0.0) + k * (si > 0.0)
+
+    else:
+        b = c + s
+
+        def penalty(ci, si):
+            l1 = ci + si * b
+            return l1 if objective == "h1" else l1 * l1
+
+    rows = max(1, _BLOCK // a.size)
+    best, best_w, best_t = np.inf, None, 0.0
+    for start in range(0, c1.shape[0], rows):
+        ci, si = c1[start : start + rows], s1[start : start + rows]
+        t = ci * lead + si * a
+        v = value(t, penalty(ci, si))
+        flat = int(np.argmin(v))
+        if v.flat[flat] < best:
+            i, j = divmod(flat, a.size)
+            best, best_t = float(v.flat[flat]), float(t[i, j])
+            best_w = np.array([ci[i, 0], si[i, 0] * c[j], si[i, 0] * s[j]])[-x.size :]
+    return best, best_w, best_t
 
 
 def brute_wstep(x_sorted, rho: float, objective: str, resolution: float) -> tuple[np.ndarray, float]:
@@ -87,9 +104,7 @@ def brute_wstep(x_sorted, rho: float, objective: str, resolution: float) -> tupl
         raise ValueError("resolution must be in (0, 1e-3] radians")
     if objective not in ("h1", "h2"):
         raise ValueError("objective must be 'h1' or 'h2'")
-    g, w, _ = _sphere_min(
-        x, resolution, lambda t, l1, nnz: _direction_penalty(l1, nnz, objective) - 0.5 * rho * t * t
-    )
+    g, w, _ = _sphere_min(x, resolution, objective, lambda t, fw: fw - 0.5 * rho * t * t)
     return w, g
 
 
@@ -181,12 +196,11 @@ def _grid_prox(
     elif method == "sphere":
         half_rho_s2 = 0.5 * rho * s2
 
-        def value(t, l1, nnz):
+        def value(t, fw):
             r = np.clip(t, 0.0, None)
-            fw = _direction_penalty(l1, nnz, objective)
             return np.where(r > 0.0, half_rho_s2 - 0.5 * rho * r * r + fw, half_rho_s2)
 
-        f, w, t = _sphere_min(x, resolution, value)
+        f, w, t = _sphere_min(x, resolution, objective, value)
         if f < best_f:
             best_u, best_f = max(t, 0.0) * w, f
     return best_u, best_f

@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     ProxSet,
     Tolerances,
+    _dot,
     _positive_rho,
     effective_tie_tol,
 )
@@ -39,12 +40,15 @@ class WStepSolution:
     ``g_value`` its objective value, the exact gap used by the decision step.
     ``family`` names the infinite tie family that ``w_star`` stands for (set
     for a direction uniform over two or more entries); the decision step
-    reports it only when the gap ties.
+    reports it only when the gap ties.  ``rivals`` lists the solver's other
+    scored directions as (w, g) pairs; each whose g ties with ``g_value`` is
+    a member of the set wherever ``w_star`` is.
     """
 
     w_star: np.ndarray
     g_value: float
     family: str | None = None
+    rivals: tuple = ()
 
 
 def is_tie(g_value: float, f_zero: float, tol: Tolerances) -> bool:
@@ -65,6 +69,7 @@ def decision_step(
     tol: Tolerances,
     family: str | None = None,
     zero_gap: float | None = None,
+    ties: list | tuple = (),
 ) -> ProxSet:
     """Keep the origin, ``point``, or both, from the sign of the gap F(point) - F(0).
 
@@ -72,14 +77,16 @@ def decision_step(
     and a positive gap the origin, reported with ``zero_gap`` when given
     (else the gap itself).  ``family`` is reported only on a tie, so callers
     pass the family ``point`` stands for and leave the tie test to this rule.
+    ``ties`` are further points whose gap ties with ``g_value``; they are
+    members wherever ``point`` is.
     Raises ``ValueError`` when ``g_value`` or ``f_zero`` is not finite
     (the input magnitude is out of range).
     """
     g = float(g_value)
     if is_tie(g, f_zero, tol):
-        return ProxSet(True, [point], family=family, g_value=g)
+        return ProxSet(True, [point, *ties], family=family, g_value=g)
     if g < 0.0:
-        return ProxSet(False, [point], g_value=g)
+        return ProxSet(False, [point, *ties], g_value=g)
     g_zero = g if zero_gap is None else zero_gap
     return ProxSet(True, [], g_value=g_zero)
 
@@ -89,8 +96,10 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
 
     Returns {0} when the gap is decisively positive, {r*w} when decisively
     negative, and both on a tie within the scaled tie tolerance
-    (:func:`decision_step`).  A ``w_star`` that is not a nonnegative unit
-    vector (the all-zero one included) raises ``ValueError``.
+    (:func:`decision_step`); every rival direction whose gap ties with
+    ``g_value`` joins r*w with its own radius.  A ``w_star`` that is not a
+    nonnegative unit vector (the all-zero one included) raises
+    ``ValueError``.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
@@ -98,15 +107,16 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     w = np.asarray(sol.w_star, dtype=float)
     if w.shape != x.shape:
         raise ValueError("dimension mismatch")
-    if abs(float(w @ w) - 1.0) > 2.0 * _UNIT_ATOL:
+    if abs(_dot(w, w) - 1.0) > 2.0 * _UNIT_ATOL:
         raise ValueError("w_star must be a unit vector")
     if float(w.min()) < -_NEG_ATOL:
         raise ValueError("w_star must be nonnegative")
 
-    r = float(x @ w)
+    r = _dot(x, w)
     if r < -_NEG_ATOL:
         raise ValueError("negative radius: x and w_star must have nonnegative overlap")
     r = max(r, 0.0)
 
-    f_zero = 0.5 * rho * float(x @ x)
-    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family)
+    f_zero = 0.5 * rho * _dot(x, x)
+    ties = [max(_dot(x, v), 0.0) * v for v, g in sol.rivals if is_tie(g - sol.g_value, f_zero, tol)]
+    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family, ties=ties)

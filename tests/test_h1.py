@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from proxinv import (
     wstep_h1,
     wstep_h1_r2,
 )
-from helpers import best_f, candidates, sorted_desc
+from helpers import best_f, candidates, f_value, sorted_desc
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -427,6 +429,77 @@ def scan_corpus(rng, count):
     return cases
 
 
+def companion_scan(x, rho):
+    """The support scan before the breakpoint screen, kept as a reference:
+    every piece that passes the Cauchy-Schwarz test solves its quartic by
+    companion eigenvalues and three Newton steps."""
+    m = x.size
+    x1 = float(x[0])
+    y = x / x1
+    r = rho * x1 * x1
+    best = np.zeros(m)
+    best[0] = 1.0
+    best_g = objective_G_h1(best, x, rho)
+    ks = np.arange(2, m + 1)
+    hi, lo = y[1:], np.append(y[2:], 0.0)
+    A, B = np.cumsum(y * y)[1:], np.cumsum(y)[1:]
+    live = (hi > lo) & (2.0 * r * hi * np.sqrt(A) > 1.0)
+    ks, hi, lo, A, B = ks[live], hi[live], lo[live], A[live], B[live]
+    if ks.size:
+        q2 = (1.0 / (r * B)) ** 2
+        c3, c2, c1, c0 = -2.0 * A / B, (A / B) ** 2 - ks * q2, 2.0 * B * q2, -A * q2
+        comp = np.zeros((ks.size, 4, 4))
+        comp[:, 0] = -np.column_stack((c3, c2, c1, c0))
+        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+        roots = np.linalg.eigvals(comp)
+        tau = roots.real
+        near = np.abs(roots.imag) <= 1e-6
+        near &= (tau >= lo[:, None] - 1e-9) & (tau <= hi[:, None] + 1e-9)
+        i, j = np.nonzero(near)
+        t = tau[i, j]
+        c3, c2, c1, c0 = c3[i], c2[i], c1[i], c0[i]
+        for _ in range(3):
+            p = (((t + c3) * t + c2) * t + c1) * t + c0
+            dp = ((4.0 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+            t = t - p / np.where(dp == 0.0, np.inf, dp)
+        t = np.clip(t, lo[i], hi[i])
+        kept = A[i] - t * B[i] > 0.0
+        for k, tk in zip(ks[i][kept].tolist(), t[kept].tolist()):
+            w = np.zeros(m)
+            w[:k] = y[:k] - tk
+            w /= np.linalg.norm(w)
+            g = objective_G_h1(w, x, rho)
+            if g < best_g:
+                best, best_g = w, g
+    return best, best_g
+
+
+def reference_corpus(rng, count):
+    """Sorted positive non-uniform heads, n = 3..3000, of six kinds, with rho
+    over four decades around 2 sqrt(n)/||x||^2."""
+    kinds = ("gauss", "padded", "rounded", "near", "twolevel", "cauchy")
+    cases = []
+    while len(cases) < count:
+        kind = kinds[len(cases) % len(kinds)]
+        n = int(rng.integers(3, 30)) if len(cases) % 10 else int(rng.integers(30, 3001))
+        x = np.abs(rng.standard_cauchy(n) if kind == "cauchy" else rng.standard_normal(n))
+        if kind == "padded":
+            x[rng.choice(n, n // 3, replace=False)] = 0.0
+        elif kind == "rounded":
+            x = np.round(x, int(rng.integers(0, 3)))
+        elif kind == "near":
+            x = 1.0 + 10.0 ** rng.uniform(-8.0, -2.0) * rng.random(n)
+        elif kind == "twolevel":
+            k = int(rng.integers(1, n))
+            x = np.concatenate([np.ones(k), np.full(n - k, rng.uniform(0.05, 0.99))])
+        head = np.sort(x[x > 0.0])[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
+        if head.size < 3 or head[0] == head[-1]:
+            continue
+        rho = 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(head.size) / float(head @ head)
+        cases.append((head, rho))
+    return cases
+
+
 class TestSupportScan:
     def test_never_above_projected_gradient(self):
         rng = np.random.default_rng(72)
@@ -467,6 +540,72 @@ class TestSupportScan:
     def test_requires_positive_entries(self):
         with pytest.raises(ValueError):
             wstep_h1(np.array([2.0, 1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "x, rho, g, support",
+        [
+            # both ends of the pieces k = 2 and 3 are negative, and each holds
+            # two roots; the winner is a root of the k = 3 piece
+            ([1.35, 0.95, 0.85, 0.65, 0.15], 0.7783515660155081, 0.2879587414831, 3),
+            # a tied top block makes F(1) = 0 with the zero direction; the
+            # root that counts is 1/(r sqrt(j)) on the top piece
+            ([2.0, 2.0, 2.0, 1.0], 0.22640384408415787, 0.3736277430639, 3),
+            ([1.4, 1.4, 0.2], 1.2565193719056054, -1.0485644065619, 2),
+        ],
+        ids=["two-root-pieces", "tied-top-of-three", "tied-top-of-two"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_pinned_screen_cases(self, x, rho, g, support):
+        x = np.array(x)
+        sol = wstep_h1(x, rho)
+        assert sol.g_value == pytest.approx(g, abs=1e-12)
+        assert np.count_nonzero(sol.w_star) == support
+        ref_w, ref_g = companion_scan(x, rho)
+        assert abs(sol.g_value - ref_g) <= 1e-12 * (1.0 + abs(ref_g))
+        assert np.abs(sol.w_star - ref_w).max() <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_companion_reference(self):
+        # the screened scalar solve and the companion scan find the same
+        # direction; the screen raises no RuntimeWarning (zero norms at the
+        # piece ends and square roots of negative round-off are handled)
+        rng = np.random.default_rng(75)
+        for head, rho in reference_corpus(rng, 1000):
+            sol = wstep_h1(head, rho)
+            ref_w, ref_g = companion_scan(head, rho)
+            assert np.count_nonzero(sol.w_star) == np.count_nonzero(ref_w)
+            assert abs(sol.g_value - ref_g) <= 1e-12 * (1.0 + abs(ref_g))
+            assert np.abs(sol.w_star - ref_w).max() <= 1e-10
+
+    def test_tied_directions_are_all_members(self):
+        # at this rho the first axis and the full-support soft threshold of a
+        # two-level input have the same negative gap, so both are members
+        x, rho = np.array([5.0, 2.0, 2.0, 2.0, 2.0, 2.0]), 0.09935660878052052
+        ps = prox_h1(x, rho)
+        assert not ps.contains_zero and len(ps.points) == 2
+        assert [np.count_nonzero(p) for p in ps.points] == [1, 6]
+        f_axis, f_full = (f_value("h1", p, x, rho) for p in ps.points)
+        assert abs(f_axis - f_full) <= 1e-12
+        assert f_axis - 0.5 * rho * float(x @ x) == pytest.approx(ps.g_value, abs=1e-12)
+        signed = prox_h1(-x[::-1], rho)
+        assert [np.count_nonzero(p) for p in signed.points] == [1, 6]
+        assert all(np.array_equal(p, -q[::-1]) for p, q in zip(signed.points, ps.points))
+        # away from the crossing one direction wins
+        for r in (rho * (1.0 - 1e-6), rho * (1.0 + 1e-6)):
+            assert len(prox_h1(x, r).points) == 1
+
+
+def test_large_dimension_runtime():
+    # the screen leaves a few pieces, each solved as a scalar; an eigenvalue
+    # solve per piece runs far over the budget here
+    x = np.random.default_rng(59).standard_normal(20000)
+    best = np.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for rho in (0.1, 1.0):
+            prox_h1(x, rho)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.03, f"n=20000 prox_h1 at rho=0.1 and 1 took {best:.3f}s"
 
 
 class TestSphereRelaxationDiagnostic:

@@ -55,6 +55,24 @@ def test_family_tag_propagates():
     assert ps.family == "uniform_sphere"
 
 
+def test_tied_rivals_join_the_set():
+    # a rival direction whose gap ties with the best one is a member with its
+    # own radius; a rival outside the tie tolerance is not
+    x = np.array([2.0, 1.0])
+    w_tie = np.array([3.0, 4.0]) / 5.0
+    w_far = np.array([4.0, 3.0]) / 5.0
+    sol = WStepSolution(
+        w_star=np.array([1.0, 0.0]), g_value=-3.0, rivals=((w_tie, -3.0 + 1e-13), (w_far, -2.9))
+    )
+    ps = wrd_assemble(x, 2.0, sol)
+    assert not ps.contains_zero and len(ps.points) == 2
+    assert np.array_equal(ps.points[1], 2.0 * w_tie)
+    tie = wrd_assemble(x, 2.0, WStepSolution(w_star=sol.w_star, g_value=0.0, rivals=((w_tie, 1e-13),)))
+    assert tie.contains_zero and len(tie.points) == 2
+    origin = wrd_assemble(x, 2.0, WStepSolution(w_star=sol.w_star, g_value=0.5, rivals=((w_tie, 0.5),)))
+    assert origin.contains_zero and origin.points == []
+
+
 def test_rejects_bad_directions():
     x = np.array([1.0, 0.5])
     with pytest.raises(ValueError):
