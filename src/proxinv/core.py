@@ -103,15 +103,46 @@ class SignedPermutation:
         return out
 
 
+#: longest input sorted by NumPy's stable sort; beyond it the default (SIMD)
+#: sort plus the tie repair of :func:`_descending_order` is cheaper
+_STABLE_SORT_MAX = 1024
+
+
+def _descending_order(a: np.ndarray) -> np.ndarray:
+    """Indices that sort the magnitudes ``a`` descending, equal ones in index
+    order: exactly ``np.argsort(-a, kind="stable")``."""
+    if a.size <= _STABLE_SORT_MAX:
+        return np.argsort(-a, kind="stable")
+    if bool(np.all(a[:-1] >= a[1:])):  # already in order (all equal, say)
+        return np.arange(a.size)
+    order = np.argsort(-a)
+    s = a[order]
+    new_run = s[1:] != s[:-1]
+    if new_run.all():
+        return order
+    # a run of equal magnitudes comes back in any index order: one integer
+    # sort of run * n + index puts every run in index order, in place
+    run = np.zeros(a.size, dtype=np.intp)
+    np.cumsum(new_run, out=run[1:])
+    run *= a.size
+    return np.sort(run + order) - run
+
+
 def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
     """Map ``x`` into the descending nonnegative cone.
 
     Ties between equal magnitudes keep their original relative order, and
-    zero entries are assigned sign +1, so the permutation is deterministic.
+    zero entries are assigned sign +1 (a ``-0.0`` entry stays ``-0.0``), so
+    the permutation is deterministic.  Up to ``_STABLE_SORT_MAX`` entries the
+    magnitudes are ordered by NumPy's stable sort.  Longer inputs already in
+    order keep it; the others take the faster default sort, and only when
+    the sorted magnitudes hold a run of equal values is each run put back in
+    index order by one integer sort.  Every route gives the stable sort's
+    permutation, bit for bit.
     Returns the sorted vector together with the permutation that produced it.
     """
     v = _validated(x)
-    order = np.argsort(-np.abs(v), kind="stable")
+    order = _descending_order(np.abs(v))
     picked = v[order]
     signs = np.where(picked < 0.0, -1.0, 1.0)
     perm = SignedPermutation(order=order, signs=signs)
@@ -187,41 +218,53 @@ def objective_F(u, x, rho: float, f_value: float) -> float:
     if u.shape != x.shape:
         raise ValueError("dimension mismatch")
     d = u - x
-    return 0.5 * rho * float(d @ d) + float(f_value)
+    return 0.5 * rho * _dot(d, d) + float(f_value)
 
 
 def _unit_vector(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     v = w.ravel()
     nrm = math.sqrt(_dot(v, v))
-    if abs(nrm - 1.0) > _UNIT_ATOL:
+    if not abs(nrm - 1.0) <= _UNIT_ATOL:  # a NaN norm fails too
         raise ValueError("w must be a unit vector")
     return w
 
 
-def objective_G_h2(w, x, rho: float) -> float:
-    """Direction objective for the squared l1/l2 ratio: ||w||_1^2 - (rho/2)<x,w>^2."""
-    rho = _positive_rho(rho)
-    w = _unit_vector(w)
-    x = np.asarray(x, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError("dimension mismatch")
+def _objective_G_h2(w: np.ndarray, x: np.ndarray, rho: float) -> float:
+    """:func:`objective_G_h2` on trusted input: a unit ``w`` of x's shape."""
     s = float(np.abs(w).sum())
-    t = float(x @ w)
+    t = _dot(x, w)
     return s * s - 0.5 * rho * t * t
 
 
-def objective_G_h1(w, x, rho: float) -> float:
-    """Direction objective for the l1/l2 ratio: -(rho/2)<x,w>^2 + ||w||_1."""
+def objective_G_h2(w, x, rho: float) -> float:
+    """Direction objective for the squared l1/l2 ratio: ||w||_1^2 - (rho/2)<x,w>^2,
+    for a unit ``w`` and a sorted nonnegative ``x``."""
     rho = _positive_rho(rho)
     w = _unit_vector(w)
-    x = np.asarray(x, dtype=float)
+    x = descending_vector(x)
+    if w.shape != x.shape:
+        raise ValueError("dimension mismatch")
+    return _objective_G_h2(w, x, rho)
+
+
+def _objective_G_h1(w: np.ndarray, x: np.ndarray, rho: float) -> float:
+    """:func:`objective_G_h1` on trusted input: a nonnegative unit ``w`` of x's shape."""
+    t = _dot(x, w)
+    return -0.5 * rho * t * t + float(np.abs(w).sum())
+
+
+def objective_G_h1(w, x, rho: float) -> float:
+    """Direction objective for the l1/l2 ratio: -(rho/2)<x,w>^2 + ||w||_1,
+    for a nonnegative unit ``w`` and a sorted nonnegative ``x``."""
+    rho = _positive_rho(rho)
+    w = _unit_vector(w)
+    x = descending_vector(x)
     if w.shape != x.shape:
         raise ValueError("dimension mismatch")
     if float(w.min()) < -_NEG_ATOL:
         raise ValueError("w must be nonnegative")
-    t = _dot(x, w)
-    return -0.5 * rho * t * t + float(np.abs(w).sum())
+    return _objective_G_h1(w, x, rho)
 
 
 def l0_value(u) -> float:

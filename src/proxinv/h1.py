@@ -41,6 +41,7 @@ from .core import (
     ProxSet,
     Tolerances,
     _dot,
+    _objective_G_h1,
     _positive_rho,
     as_vector,
     descending_vector,
@@ -76,9 +77,17 @@ class R2Region(NamedTuple):
 
 
 def r2_geometry(x_sorted) -> R2Geometry:
+    return _r2_geometry(_plane_vector(x_sorted))
+
+
+def _plane_vector(x_sorted) -> np.ndarray:
     x = descending_vector(x_sorted)
     if x.size != 2 or not x[0] > x[1]:
         raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
+    return x
+
+
+def _r2_geometry(x: np.ndarray) -> R2Geometry:
     kappa = float(x[1] / x[0])
     alpha = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
     return R2Geometry(kappa=kappa, alpha_angle=alpha)
@@ -90,6 +99,10 @@ def L_eval(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float
     half = 0.5 * geom.alpha_angle
     if theta < -1e-12 or theta > half + 1e-12:
         raise ValueError("theta outside [0, alpha/2]")
+    return _L(theta, geom, rho, norm2_sq)
+
+
+def _L(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float:
     a = geom.alpha_angle
     return (
         math.sin(2.0 * theta - a) / math.cos(theta + 0.25 * math.pi)
@@ -130,15 +143,15 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     the better of the two is optimal.
     """
     rho = _positive_rho(rho)
-    x = descending_vector(x_sorted)
-    geom = r2_geometry(x)
+    x = _plane_vector(x_sorted)
+    geom = _r2_geometry(x)
     x1, x2 = float(x[0]), float(x[1])
     s2 = x1 * x1 + x2 * x2
     half = 0.5 * geom.alpha_angle
     cross = rho * x1 * x2
 
     def L(theta: float) -> float:
-        return L_eval(theta, geom, rho, s2)
+        return _L(theta, geom, rho, s2)
 
     def Lp(theta: float) -> float:
         return _L_prime(theta, geom)
@@ -156,10 +169,10 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
             theta1 = _bisect(L, theta0, half, _ROOT_TOL)
             w0 = np.array([1.0, 0.0])
             w1 = np.array([math.cos(theta1), math.sin(theta1)])
-            theta_star = 0.0 if objective_G_h1(w0, x, rho) <= objective_G_h1(w1, x, rho) else theta1
+            theta_star = 0.0 if _objective_G_h1(w0, x, rho) <= _objective_G_h1(w1, x, rho) else theta1
 
     w = np.array([math.cos(theta_star), math.sin(theta_star)])
-    return WStepSolution(w_star=w, g_value=objective_G_h1(w, x, rho))
+    return WStepSolution(w_star=w, g_value=_objective_G_h1(w, x, rho))
 
 
 def _s2_threshold(kappa: float, rho: float) -> float:
@@ -209,10 +222,7 @@ def classify_r2(x_sorted, rho: float) -> R2Region:
 
 def prox_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Planar prox on the sorted cone: exact direction, then the decision step."""
-    tol = tol or DEFAULT_TOLERANCES
-    x = descending_vector(x_sorted)
-    sol = wstep_h1_r2(x, rho)
-    return wrd_assemble(x, rho, sol, tol)
+    return wrd_assemble(x_sorted, rho, wstep_h1_r2(x_sorted, rho), tol)
 
 
 def prox_h1_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = None) -> ProxSet:
@@ -535,7 +545,7 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
         w = np.zeros(m)
         w[:kk] = y[:kk] - tk
         w /= math.sqrt(_dot(w, w))
-        scored.append((w, objective_G_h1(w, x, rho)))
+        scored.append((w, _objective_G_h1(w, x, rho)))
     best = min(range(len(scored)), key=lambda i: scored[i][1])
     w, g = scored.pop(best)
     return WStepSolution(w_star=w, g_value=g, rivals=tuple(scored))

@@ -22,10 +22,11 @@ from .core import (
     UNIFORM_SPHERE,
     ProxSet,
     Tolerances,
+    _dot,
+    _objective_G_h2,
     _positive_rho,
     descending_vector,
     normalize,
-    objective_G_h2,
     uniform_value,
 )
 from .wrd import WStepSolution, decision_step, wrd_assemble
@@ -61,9 +62,14 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
     x = descending_vector(x_sorted)
     if uniform_value(x) is not None:
         raise ValueError("spectrum degenerates for multiples of the all-ones vector")
+    return _h2_spectrum(x, rho)
+
+
+def _h2_spectrum(x: np.ndarray, rho: float) -> H2Spectrum:
+    """:func:`h2_spectrum` on a trusted sorted, non-uniform ``x``."""
     n = x.size
     s1 = float(x.sum())
-    s2 = float(x @ x)
+    s2 = _dot(x, x)
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise ValueError("input magnitude out of range: sum or squared norm is not finite")
     m = 0.5 * rho * s2 + n
@@ -88,7 +94,10 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
 def mu(x_sorted, rho: float) -> int:
     """Count of negative entries of 2*e - rho*x_1*x (a prefix, by sorting)."""
     rho = _positive_rho(rho)
-    x = descending_vector(x_sorted)
+    return _mu(descending_vector(x_sorted), rho)
+
+
+def _mu(x: np.ndarray, rho: float) -> int:
     return int(np.count_nonzero(2.0 - rho * x[0] * x < 0.0))
 
 
@@ -116,6 +125,11 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     x = descending_vector(x_sorted)
     if x.size != 2 or not x[0] > x[1]:
         raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
+    return _wstep_h2_r2(x, rho)
+
+
+def _wstep_h2_r2(x: np.ndarray, rho: float) -> WStepSolution:
+    """:func:`wstep_h2_r2` on a trusted sorted plane ``x`` with x1 > x2."""
     x1, x2 = float(x[0]), float(x[1])
     cross = rho * x1 * x2
     if cross > 2.0:
@@ -123,7 +137,7 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     else:
         theta = 0.0
     w = np.array([math.cos(theta), math.sin(theta)])
-    return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho))
+    return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho))
 
 
 def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
@@ -137,6 +151,8 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     negative-eigenvalue direction positive (read off prefix sums).  A
     uniform prefix of two or more entries carries the ``uniform_sphere``
     family tag, which the decision step reports only when the gap ties.
+    The input is validated here once; the scan below runs the trusted
+    kernels of :func:`mu`, :func:`h2_spectrum` and :func:`wstep_h2_r2`.
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -148,10 +164,10 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         w[: w_head.size] = w_head
         return w
 
-    k = mu(x, rho)
+    k = _mu(x, rho)
     if k == 0:
         w = padded(np.array([1.0]))
-        return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho)), 1
+        return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), 1
     if k > 2:
         # trailing w_lo entry of every prefix in h2_spectrum's rationalized form;
         # cumsum rounds unlike its sums, so h2_spectrum confirms each candidate
@@ -164,16 +180,16 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         for k in map(int, np.flatnonzero(stop)[::-1] + 1):
             if k == 2 or uniform[k - 1]:
                 break
-            spec = h2_spectrum(x[:k], rho)
+            spec = _h2_spectrum(x[:k], rho)
             if spec.w_lo[-1] > 0.0:
-                w = padded(spec.w_lo / np.linalg.norm(spec.w_lo))
-                return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho)), k
+                w = padded(spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo)))
+                return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
     head = x[:k]
     if uniform_value(head) is not None:
         w = padded(np.full(k, 1.0 / np.sqrt(k)))
         family = UNIFORM_SPHERE if k >= 2 else None
-        return WStepSolution(w_star=w, g_value=objective_G_h2(w, x, rho), family=family), k
-    sol2 = wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
+        return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho), family=family), k
+    sol2 = _wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
     return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2
 
 

@@ -15,6 +15,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     ProxSet,
     Tolerances,
+    _dot,
     _positive_rho,
     as_vector,
     descending_vector,
@@ -104,7 +105,7 @@ def wstep_l0(x_sorted, rho: float) -> WStepSolution:
     thr = math.sqrt(2.0 / rho)
     k = max(1, int(np.count_nonzero(x > thr)))
     head = x[:k]
-    head_sq = float(head @ head)
+    head_sq = _dot(head, head)
     w = np.zeros(x.size)
     w[:k] = head / math.sqrt(head_sq)
     g = k - 0.5 * rho * head_sq

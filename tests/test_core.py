@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import proxinv
 from proxinv import (
     ProxSet,
     SignedPermutation,
@@ -11,7 +12,9 @@ from proxinv import (
     denormalize,
     descending_vector,
     h1_value,
+    h2_spectrum,
     h2_value,
+    mu,
     normalize,
     objective_F,
     objective_G_h1,
@@ -20,6 +23,10 @@ from proxinv import (
     prox_h2,
     prox_l0,
     uniform_value,
+    wstep_h1,
+    wstep_h1_r2,
+    wstep_h2,
+    wstep_h2_r2,
 )
 from helpers import assert_sets_close, random_unit_nonneg, sorted_desc
 
@@ -84,6 +91,8 @@ class TestObjectiveGH2:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             objective_G_h2([1.0, 1.0], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError):
+            objective_G_h2([np.nan, 0.0], [1.0, 1.0], 1.0)
 
 
 class TestObjectiveGH1:
@@ -146,6 +155,46 @@ class TestNormalize:
         _, perm = normalize([1.0, 2.0])
         with pytest.raises(ValueError):
             perm.apply([1.0, 2.0, 3.0])
+
+    @staticmethod
+    def sort_cases(rng, n):
+        x = rng.normal(size=n)
+        pairs = rng.normal(size=(n + 1) // 2)
+        third_zero = x.copy()
+        third_zero[rng.choice(n, max(1, n // 3), replace=False)] = 0.0
+        signed_zero = x.copy()
+        signed_zero[rng.choice(n, max(1, n // 3), replace=False)] = -0.0
+        signed_zero[rng.choice(n, max(1, n // 3), replace=False)] = 0.0
+        top_block = x.copy()
+        b = max(1, n // 4)
+        top_block[rng.choice(n, b, replace=False)] = float(np.abs(x).max()) * rng.choice([-1.0, 1.0], b)
+        # sorted magnitudes with one adjacent pair out of order (at even n)
+        one_swap = np.sort(np.abs(x))[::-1]
+        one_swap[[n // 2, (n - 1) // 2]] = one_swap[[(n - 1) // 2, n // 2]]
+        return {
+            "gauss": x,
+            "third_zero": third_zero,
+            "signed_zero": signed_zero,
+            "rounded": np.round(x, 1),
+            "plus_minus": rng.permutation(np.concatenate([pairs, -pairs])[:n]),
+            "all_equal": np.full(n, 0.7) * rng.choice([-1.0, 1.0], n),
+            "top_block": top_block,
+            "presorted": np.sort(np.round(np.abs(x), 1))[::-1] * rng.choice([-1.0, 1.0], n),
+            "one_swap": one_swap,
+        }
+
+    # 1025 is the first length past the stable-sort rule of normalize
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 100, 1000, 1025, 20000, 30000])
+    def test_matches_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        for kind, x in self.sort_cases(rng, n).items():
+            order = np.argsort(-np.abs(x), kind="stable")
+            picked = x[order]
+            signs = np.where(picked < 0.0, -1.0, 1.0)
+            xs, perm = normalize(x)
+            assert np.array_equal(perm.order, order), kind
+            assert perm.signs.tobytes() == signs.tobytes(), kind
+            assert xs.tobytes() == (signs * picked).tobytes(), kind
 
 
 class TestGapIdentity:
@@ -252,6 +301,63 @@ class TestTolerances:
         # no operator iterates; pgd_wstep takes its own pgd_tol and max_iter
         with pytest.raises(TypeError):
             Tolerances(**{name: 1})
+
+
+class TestValidateOnce:
+    """The prox functions validate x and rho once; the w-step they call
+    validates the sorted head once and runs trusted kernels below it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        for mod in (proxinv.h1, proxinv.h2):
+            orig = mod.descending_vector
+
+            def counting(x, orig=orig):
+                calls.append(1)
+                return orig(x)
+
+            monkeypatch.setattr(mod, "descending_vector", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [prox_h1, prox_h2])
+    def test_one_sorted_check_per_call(self, fn, counted):
+        rng = np.random.default_rng(11)
+        inputs = [rng.normal(size=10), np.round(rng.normal(size=10), 1), np.full(10, -0.8)]
+        inputs.append(np.concatenate([[3.0, -1.0], np.zeros(8)]))  # two nonzero entries
+        for x in inputs:
+            for rho in (0.05, 0.5, 3.0, 30.0):
+                counted.clear()
+                fn(x, rho)
+                assert len(counted) <= 1
+
+    #: unsorted, negative, infinite and NaN inputs, by length
+    BAD_X = {
+        3: ([1.0, 2.0, 3.0], [2.0, 1.0, -1.0], [np.inf, 2.0, 1.0], [2.0, np.nan, 1.0]),
+        2: ([1.0, 2.0], [1.0, -1.0], [np.inf, 1.0], [2.0, np.nan]),
+    }
+    GOOD_X = {3: [3.0, 2.0, 1.0], 2: [2.0, 1.0]}
+    WRAPPERS = {
+        "mu": (mu, 3),
+        "h2_spectrum": (h2_spectrum, 3),
+        "wstep_h2": (wstep_h2, 3),
+        "wstep_h2_r2": (wstep_h2_r2, 2),
+        "wstep_h1": (wstep_h1, 3),
+        "wstep_h1_r2": (wstep_h1_r2, 2),
+        "objective_G_h1": (lambda x, rho: objective_G_h1([1.0, 0.0, 0.0], x, rho), 3),
+        "objective_G_h2": (lambda x, rho: objective_G_h2([1.0, 0.0, 0.0], x, rho), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRAPPERS))
+    def test_public_wrappers_validate(self, name):
+        fn, n = self.WRAPPERS[name]
+        fn(self.GOOD_X[n], 1.0)
+        for x in self.BAD_X[n]:
+            with pytest.raises(ValueError):
+                fn(x, 1.0)
+        for rho in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fn(self.GOOD_X[n], rho)
 
 
 def test_proxset_fields():
