@@ -66,6 +66,13 @@ def descending_vector(x) -> np.ndarray:
     return v
 
 
+def _plane_vector(x_sorted) -> np.ndarray:
+    x = descending_vector(x_sorted)
+    if x.size != 2 or not x[0] > x[1]:
+        raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
+    return x
+
+
 def _positive_rho(rho: float) -> float:
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0.0:
@@ -80,6 +87,8 @@ class SignedPermutation:
     ``apply`` sends a vector to its sorted-by-magnitude nonnegative form;
     ``invert`` undoes that exactly (sign flips are exact in floating point).
     Slot ``i`` of the sorted vector is ``signs[i] * v[order[i]]``.
+    ``invert`` also takes a sorted head, the first m <= n slots, and puts
+    zeros in the other n - m (the zero tail the ratio operators leave out).
     """
 
     order: np.ndarray
@@ -95,11 +104,12 @@ class SignedPermutation:
         return self.signs * v[self.order]
 
     def invert(self, u) -> np.ndarray:
+        """The vector whose sorted form is ``u`` padded with zeros to length n."""
         u = np.asarray(u, dtype=float)
-        if u.shape != self.order.shape:
+        if u.ndim != 1 or u.size > self.order.size:
             raise ValueError("dimension mismatch")
-        out = np.empty_like(u)
-        out[self.order] = self.signs * u
+        out = np.zeros(self.order.size)
+        out[self.order[: u.size]] = self.signs[: u.size] * u
         return out
 
 
@@ -221,13 +231,18 @@ def objective_F(u, x, rho: float, f_value: float) -> float:
     return 0.5 * rho * _dot(d, d) + float(f_value)
 
 
-def _unit_vector(w) -> np.ndarray:
+def _objective_args(w, x, rho) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated arguments of an objective: a unit ``w`` of the shape of a
+    sorted nonnegative ``x``, and a positive ``rho``."""
+    rho = _positive_rho(rho)
     w = np.asarray(w, dtype=float)
     v = w.ravel()
-    nrm = math.sqrt(_dot(v, v))
-    if not abs(nrm - 1.0) <= _UNIT_ATOL:  # a NaN norm fails too
+    if not abs(math.sqrt(_dot(v, v)) - 1.0) <= _UNIT_ATOL:  # a NaN norm fails too
         raise ValueError("w must be a unit vector")
-    return w
+    x = descending_vector(x)
+    if w.shape != x.shape:
+        raise ValueError("dimension mismatch")
+    return w, x, rho
 
 
 def _objective_G_h2(w: np.ndarray, x: np.ndarray, rho: float) -> float:
@@ -240,11 +255,7 @@ def _objective_G_h2(w: np.ndarray, x: np.ndarray, rho: float) -> float:
 def objective_G_h2(w, x, rho: float) -> float:
     """Direction objective for the squared l1/l2 ratio: ||w||_1^2 - (rho/2)<x,w>^2,
     for a unit ``w`` and a sorted nonnegative ``x``."""
-    rho = _positive_rho(rho)
-    w = _unit_vector(w)
-    x = descending_vector(x)
-    if w.shape != x.shape:
-        raise ValueError("dimension mismatch")
+    w, x, rho = _objective_args(w, x, rho)
     return _objective_G_h2(w, x, rho)
 
 
@@ -257,11 +268,7 @@ def _objective_G_h1(w: np.ndarray, x: np.ndarray, rho: float) -> float:
 def objective_G_h1(w, x, rho: float) -> float:
     """Direction objective for the l1/l2 ratio: -(rho/2)<x,w>^2 + ||w||_1,
     for a nonnegative unit ``w`` and a sorted nonnegative ``x``."""
-    rho = _positive_rho(rho)
-    w = _unit_vector(w)
-    x = descending_vector(x)
-    if w.shape != x.shape:
-        raise ValueError("dimension mismatch")
+    w, x, rho = _objective_args(w, x, rho)
     if float(w.min()) < -_NEG_ATOL:
         raise ValueError("w must be nonnegative")
     return _objective_G_h1(w, x, rho)

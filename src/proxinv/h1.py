@@ -42,6 +42,7 @@ from .core import (
     Tolerances,
     _dot,
     _objective_G_h1,
+    _plane_vector,
     _positive_rho,
     as_vector,
     descending_vector,
@@ -78,13 +79,6 @@ class R2Region(NamedTuple):
 
 def r2_geometry(x_sorted) -> R2Geometry:
     return _r2_geometry(_plane_vector(x_sorted))
-
-
-def _plane_vector(x_sorted) -> np.ndarray:
-    x = descending_vector(x_sorted)
-    if x.size != 2 or not x[0] > x[1]:
-        raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
-    return x
 
 
 def _r2_geometry(x: np.ndarray) -> R2Geometry:
@@ -200,24 +194,11 @@ def classify_r2(x_sorted, rho: float) -> R2Region:
     cross = rho * x1 * x2
     on_cross_boundary = abs(cross - 1.0) <= 1e-12 * (1.0 + cross)
     on_thr = abs(x1 - thr) <= 1e-12 * (1.0 + thr)
-    golden = GOLDEN_RATIO_CONJUGATE
-    if on_cross_boundary:
-        if on_thr:
-            return R2Region("I22", in_s1, in_s2)
-        if x1 > thr:
-            return R2Region("I21", in_s1, in_s2)
-        if kappa <= golden:
-            return R2Region("I23", in_s1, in_s2)
-        return R2Region("I24", in_s1, in_s2)
-    if cross < 1.0:
-        if on_thr:
-            return R2Region("I12", in_s1, in_s2)
-        if x1 > thr:
-            return R2Region("I11", in_s1, in_s2)
-        if kappa <= golden:
-            return R2Region("I13", in_s1, in_s2)
-        return R2Region("I14", in_s1, in_s2)
-    return R2Region("I3", in_s1, in_s2)
+    if not (on_cross_boundary or cross < 1.0):
+        return R2Region("I3", in_s1, in_s2)
+    # I1 below the cross boundary, I2 on it; the same four cases in each
+    case = 2 if on_thr else 1 if x1 > thr else 3 if kappa <= GOLDEN_RATIO_CONJUGATE else 4
+    return R2Region(f"I{2 if on_cross_boundary else 1}{case}", in_s1, in_s2)
 
 
 def prox_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> ProxSet:
@@ -248,8 +229,8 @@ def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> Pro
 
 
 def trim_zeros(x_sorted) -> tuple[np.ndarray, int]:
-    """Split off trailing exact zeros; the prox of the prefix is zero-padded
-    back by the caller."""
+    """Split off trailing exact zeros; a prox of the prefix gets its zero
+    tail back from :meth:`SignedPermutation.invert`."""
     x = descending_vector(x_sorted)
     nz = int(np.count_nonzero(x))
     return x[:nz].copy(), x.size - nz
@@ -556,8 +537,9 @@ def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
 
     The direction lives on the m nonzero sorted entries: {0} for m = 0, the
     uniform closed form for a uniform head, else one radius and decision
-    step on :func:`wstep_h1_r2` (m = 2) or :func:`wstep_h1` (m >= 3).
-    Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
+    step on :func:`wstep_h1_r2` (m = 2) or :func:`wstep_h1` (m >= 3), and
+    ``perm.invert`` restores the zero tail.  Every step is exact and finite,
+    so ``tol.tie_tol`` is the only setting.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
@@ -570,15 +552,7 @@ def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
         ps = prox_h1_uniform(head[0], m, rho, tol)
     else:
         ps = wrd_assemble(head, rho, (wstep_h1_r2 if m == 2 else wstep_h1)(head, rho), tol)
-
-    n = xs.size
-
-    def pad_and_restore(p: np.ndarray) -> np.ndarray:
-        full = np.zeros(n)
-        full[: p.size] = p
-        return perm.invert(full)
-
-    return ps.map_points(pad_and_restore)
+    return ps.map_points(perm.invert)
 
 
 def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:

@@ -24,12 +24,13 @@ from .core import (
     Tolerances,
     _dot,
     _objective_G_h2,
+    _plane_vector,
     _positive_rho,
     descending_vector,
     normalize,
     uniform_value,
 )
-from .wrd import WStepSolution, decision_step, wrd_assemble
+from .wrd import WStepSolution, decision_step, is_tie, wrd_assemble
 
 
 @dataclass
@@ -103,7 +104,10 @@ def _mu(x: np.ndarray, rho: float) -> int:
 
 def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Prox at a uniform point alpha*e: keep it, drop it, or tie with an
-    infinite family covering the nonnegative sphere."""
+    infinite family covering the nonnegative sphere, whose gaps ||w||_1^2 d/2
+    (d = 2 - rho*alpha^2) run from the first axis's d/2 to the uniform
+    direction's n*d/2.  When n*d/2 does not tie and d > 0, the first axis
+    is the least gap and may tie alone (as on :func:`wstep_h2`'s tied top block)."""
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     alpha = float(alpha)
@@ -112,20 +116,21 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
         raise ValueError("alpha must be positive and n >= 1")
     d = 2.0 - rho * alpha * alpha
     f_zero = 0.5 * rho * alpha * alpha * n
-    g_diag = 0.5 * d * n
     # the nonnegative sphere of one coordinate is a single point, not a family
     family = UNIFORM_SPHERE if n >= 2 else None
-    return decision_step(g_diag, f_zero, np.full(n, alpha), tol, family=family, zero_gap=0.5 * d)
+    g_diag = 0.5 * d * n
+    if d > 0.0 and not is_tie(g_diag, f_zero, tol):
+        point = np.zeros(n)
+        point[0] = alpha
+        return decision_step(0.5 * d, f_zero, point, tol)
+    return decision_step(g_diag, f_zero, np.full(n, alpha), tol, family=family)
 
 
 def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     """Closed-form planar direction: an arctangent angle when the cross term
     is active, the first axis otherwise."""
     rho = _positive_rho(rho)
-    x = descending_vector(x_sorted)
-    if x.size != 2 or not x[0] > x[1]:
-        raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
-    return _wstep_h2_r2(x, rho)
+    return _wstep_h2_r2(_plane_vector(x_sorted), rho)
 
 
 def _wstep_h2_r2(x: np.ndarray, rho: float) -> WStepSolution:
@@ -143,14 +148,15 @@ def _wstep_h2_r2(x: np.ndarray, rho: float) -> WStepSolution:
 def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     """Direction solver on the prefix length picked by one prefix-sum scan.
 
-    Returns the solution padded to full length together with the effective
-    prefix length it was resolved on.  When the first column of the
-    direction matrix is entirely nonnegative the first axis is optimal;
+    Returns the solution on the full length of x (zero past the prefix)
+    with the prefix length it was resolved on.  When the first column of
+    the direction matrix is entirely nonnegative the first axis is optimal;
     otherwise the prefix is the longest one, up to the negative-entry count,
     that is uniform, has two entries, or keeps the trailing entry of its
     negative-eigenvalue direction positive (read off prefix sums).  A
     uniform prefix of two or more entries carries the ``uniform_sphere``
-    family tag, which the decision step reports only when the gap ties.
+    tag, and so does the first axis on a tied top block of j >= 2 entries,
+    whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
     The input is validated here once; the scan below runs the trusted
     kernels of :func:`mu`, :func:`h2_spectrum` and :func:`wstep_h2_r2`.
     """
@@ -158,16 +164,15 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     x = descending_vector(x_sorted)
     if x[0] == 0.0:
         raise ValueError("zero vector has no direction")
-
-    def padded(w_head: np.ndarray) -> np.ndarray:
-        w = np.zeros(x.size)
-        w[: w_head.size] = w_head
-        return w
-
+    w = np.zeros(x.size)
     k = _mu(x, rho)
     if k == 0:
-        w = padded(np.array([1.0]))
-        return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), 1
+        w[0] = 1.0
+        g = _objective_G_h2(w, x, rho)
+        if x.size == 1 or x[0] - x[1] > UNIFORM_RTOL * x[0]:
+            return WStepSolution(w_star=w, g_value=g), 1
+        j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))  # the tied top block
+        return WStepSolution(w_star=w, g_value=g, family=UNIFORM_SPHERE, family_gap=j * g), 1
     if k > 2:
         # trailing w_lo entry of every prefix in h2_spectrum's rationalized form;
         # cumsum rounds unlike its sums, so h2_spectrum confirms each candidate
@@ -182,28 +187,30 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
                 break
             spec = _h2_spectrum(x[:k], rho)
             if spec.w_lo[-1] > 0.0:
-                w = padded(spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo)))
+                w[:k] = spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo))
                 return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
     head = x[:k]
     if uniform_value(head) is not None:
-        w = padded(np.full(k, 1.0 / np.sqrt(k)))
+        w[:k] = 1.0 / np.sqrt(k)
         family = UNIFORM_SPHERE if k >= 2 else None
         return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho), family=family), k
     sol2 = _wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
-    return WStepSolution(w_star=padded(sol2.w_star), g_value=sol2.g_value), 2
+    w[:2] = sol2.w_star
+    return WStepSolution(w_star=w, g_value=sol2.g_value), 2
 
 
 def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
-    """Set-valued prox of the squared l1/l2 ratio at an arbitrary point."""
+    """Set-valued prox of the squared l1/l2 ratio, solved as :func:`prox_h1`
+    on the nonzero sorted head; ``perm.invert`` restores the zero tail."""
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     xs, perm = normalize(x)
-    if xs[0] == 0.0:
+    m = int(np.count_nonzero(xs))
+    if m == 0:
         return ProxSet(True, [], g_value=1.0)
-    au = uniform_value(xs)
-    if au is not None:
-        ps = prox_h2_uniform(au, xs.size, rho, tol)
+    head = xs[:m]
+    if uniform_value(head) is not None:
+        ps = prox_h2_uniform(head[0], m, rho, tol)
     else:
-        sol, _ = wstep_h2(xs, rho)
-        ps = wrd_assemble(xs, rho, sol, tol)
+        ps = wrd_assemble(head, rho, wstep_h2(head, rho)[0], tol)
     return ps.map_points(perm.invert)

@@ -39,15 +39,17 @@ class WStepSolution:
     ``w_star`` is a unit vector in the nonnegative part of the sphere and
     ``g_value`` its objective value, the exact gap used by the decision step.
     ``family`` names the infinite tie family that ``w_star`` stands for (set
-    for a direction uniform over two or more entries); the decision step
-    reports it only when the gap ties.  ``rivals`` lists the solver's other
-    scored directions as (w, g) pairs; each whose g ties with ``g_value`` is
-    a member of the set wherever ``w_star`` is.
+    for a direction uniform over two or more entries, or the first axis of
+    a tied top block); it is reported only when the gap ties, and when
+    ``family_gap``, the gap of the family's widest member, ties too.
+    ``rivals`` lists the solver's other scored directions as (w, g) pairs;
+    each whose g ties with ``g_value`` is a member wherever ``w_star`` is.
     """
 
     w_star: np.ndarray
     g_value: float
     family: str | None = None
+    family_gap: float | None = None
     rivals: tuple = ()
 
 
@@ -97,26 +99,35 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     Returns {0} when the gap is decisively positive, {r*w} when decisively
     negative, and both on a tie within the scaled tie tolerance
     (:func:`decision_step`); every rival direction whose gap ties with
-    ``g_value`` joins r*w with its own radius.  A ``w_star`` that is not a
-    nonnegative unit vector (the all-zero one included) raises
-    ``ValueError``.
+    ``g_value`` joins r*w with its own radius, and the family is dropped
+    when its ``family_gap`` does not tie.  A ``w_star`` or joining
+    rival that is not a nonnegative unit vector (the all-zero one and one
+    holding NaN included) raises ``ValueError``.
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = np.asarray(x_sorted, dtype=float)
-    w = np.asarray(sol.w_star, dtype=float)
+    f_zero = 0.5 * rho * _dot(x, x)
+    point = _member(sol.w_star, x)
+    ties = [_member(v, x) for v, g in sol.rivals if is_tie(g - sol.g_value, f_zero, tol)]
+    family = sol.family if sol.family_gap is None or is_tie(sol.family_gap, f_zero, tol) else None
+    return decision_step(sol.g_value, f_zero, point, tol, family=family, ties=ties)
+
+
+def _member(w, x: np.ndarray) -> np.ndarray:
+    """The point <x, w> w of a nonnegative unit ``w`` of x's shape; a
+    non-finite ``w`` (a solver's overflow) is out of range."""
+    w = np.asarray(w, dtype=float)
     if w.shape != x.shape:
         raise ValueError("dimension mismatch")
-    if abs(_dot(w, w) - 1.0) > 2.0 * _UNIT_ATOL:
+    norm2 = _dot(w, w)
+    if not abs(norm2 - 1.0) <= 2.0 * _UNIT_ATOL:
+        if not math.isfinite(norm2):
+            raise ValueError("input magnitude out of range: w_star is not finite")
         raise ValueError("w_star must be a unit vector")
-    if float(w.min()) < -_NEG_ATOL:
+    if not float(w.min()) >= -_NEG_ATOL:
         raise ValueError("w_star must be nonnegative")
-
     r = _dot(x, w)
     if r < -_NEG_ATOL:
         raise ValueError("negative radius: x and w_star must have nonnegative overlap")
-    r = max(r, 0.0)
-
-    f_zero = 0.5 * rho * _dot(x, x)
-    ties = [max(_dot(x, v), 0.0) * v for v, g in sol.rivals if is_tie(g - sol.g_value, f_zero, tol)]
-    return decision_step(sol.g_value, f_zero, r * w, tol, family=sol.family, ties=ties)
+    return max(r, 0.0) * w

@@ -155,6 +155,20 @@ class TestNormalize:
         _, perm = normalize([1.0, 2.0])
         with pytest.raises(ValueError):
             perm.apply([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            perm.invert([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            perm.invert([[1.0, 2.0]])
+
+    def test_invert_head_restores_zero_tail(self):
+        # a sorted head of length m <= n comes back with zeros in the other slots
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=7)
+        _, perm = normalize(x)
+        u = rng.normal(size=7)
+        for m in range(8):
+            padded = np.concatenate([u[:m], np.zeros(7 - m)])
+            assert np.array_equal(perm.invert(u[:m]), perm.invert(padded))
 
     @staticmethod
     def sort_cases(rng, n):
@@ -195,6 +209,62 @@ class TestNormalize:
             assert np.array_equal(perm.order, order), kind
             assert perm.signs.tobytes() == signs.tobytes(), kind
             assert xs.tobytes() == (signs * picked).tobytes(), kind
+
+
+class TestZeroTail:
+    """Zero entries inserted into x (0.0 or -0.0, the nonzero entries kept in
+    order) change no operator's answer on x's entries and are zero in every
+    point: every penalty here ignores a zero coordinate."""
+
+    @staticmethod
+    def cases(rng, count):
+        kinds = ("random", "tied_top", "rounded")
+        for i in range(count):
+            n = 1500 if i % 500 == 499 else int(rng.integers(1, 25))
+            x = rng.normal(0.0, 1.5, n)
+            kind = kinds[i % 3]
+            if kind == "tied_top":
+                j = int(rng.integers(1, n + 1))
+                top = float(np.abs(x).max()) * rng.uniform(1.0, 1.5)
+                x[rng.choice(n, j, replace=False)] = top * rng.choice([-1.0, 1.0], j)
+            elif kind == "rounded":
+                x = np.round(x, 1)
+            xmax = float(np.abs(x).max())
+            # every other input at the h2 tie rho = 2 / max|x|^2
+            if i % 2 and xmax > 0.0:
+                rho = 2.0 / (xmax * xmax)
+            else:
+                rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+            z = int(rng.integers(1, 5))
+            zero = np.zeros(n + z, dtype=bool)
+            zero[rng.choice(n + z, z, replace=False)] = True
+            y = np.empty(n + z)
+            y[~zero] = x
+            y[zero] = rng.choice([0.0, -0.0], z)
+            yield kind, x, y, zero, rho
+
+    def test_zero_entries_change_nothing(self):
+        rng = np.random.default_rng(10)
+        for kind, x, y, zero, rho in self.cases(rng, 3000):
+            for prox in (prox_l0, prox_h1, prox_h2):
+                a, b = prox(x, rho), prox(y, rho)
+                where = (prox.__name__, kind, x.size, rho)
+                assert (b.contains_zero, b.family, b.tie_truncated, len(b.points)) == (
+                    a.contains_zero,
+                    a.family,
+                    a.tie_truncated,
+                    len(a.points),
+                ), where
+                for p, q in zip(a.points, b.points):
+                    assert q[~zero].tobytes() == p.tobytes(), where
+                    assert np.all(q[zero] == 0.0), where
+                if prox is prox_l0:
+                    # its gap sums the kept squares over all n entries, which
+                    # rounds with the length: bound the change by that sum's
+                    # scale, (rho/2)||x||^2
+                    assert abs(b.g_value - a.g_value) <= 1e-15 * 0.5 * rho * float(x @ x), where
+                else:
+                    assert repr(b.g_value) == repr(a.g_value), where
 
 
 class TestGapIdentity:

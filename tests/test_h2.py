@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from proxinv import (
+    DEFAULT_TOLERANCES,
     brute_prox,
     brute_wstep,
+    effective_tie_tol,
     h2_spectrum,
     mu,
     normalize,
@@ -146,6 +148,18 @@ class TestUniformProx:
     def test_below_threshold(self):
         ps = prox_h2_uniform(0.9, 3, 2.0)
         assert ps.contains_zero and ps.points == []
+
+    @pytest.mark.parametrize("zeros", [0, 2], ids=["head", "zero-tail"])
+    def test_first_axis_ties_alone(self, zeros):
+        # d = 2 - rho*alpha^2 > 0: the first axis's gap d/2 = 1.0e-9 ties,
+        # the uniform direction's 9*d/2 does not, so the set is {0, alpha*e1}
+        # with no family, with or without zero entries
+        alpha = 0.8623314707986924
+        x = np.concatenate([np.full(9, alpha), np.zeros(zeros)])
+        ps = prox_h2(x, 2.68956177184776)
+        assert ps.contains_zero and ps.family is None
+        assert len(ps.points) == 1
+        assert np.array_equal(ps.points[0], alpha * np.eye(x.size)[0])
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_non_finite_level_rejected(self, alpha):
@@ -343,6 +357,56 @@ class TestProx:
         ps = prox_h2(x, rho)
         assert ps.contains_zero and len(ps.points) == 1
         assert ps.family is None
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0, 0.5], [1.0, 1.0, 1.0, 0.2]], ids=["pair", "triple"])
+    @pytest.mark.parametrize("rho", [2.0, 2.0 * (1 - 1e-12)], ids=["exact", "below"])
+    def test_tied_top_block_first_axis_family(self, x, rho):
+        # no entry of 2 - rho*x1*x is negative, so the first axis solves the
+        # direction step; G vanishes on every unit w >= 0 on the tied block
+        ps = prox_h2(x, rho)
+        assert ps.contains_zero and len(ps.points) == 1
+        assert ps.family == "uniform_sphere"
+        assert np.array_equal(ps.points[0], np.eye(len(x))[0])
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0, 0.5], [1.0, 1.0, 1.0, 0.2]], ids=["pair", "triple"])
+    def test_tied_top_block_off_tie_has_no_family(self, x):
+        ps = prox_h2(x, 1.9)
+        assert ps.contains_zero and ps.points == []
+        assert ps.family is None
+
+    @pytest.mark.parametrize(
+        "x", [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.2], [1.0, 0.0, 1.0, 1.0, 0.2]], ids=["uniform", "block", "zero"]
+    )
+    @pytest.mark.parametrize(
+        "scale, points, family",
+        [(0.1, 1, "uniform_sphere"), (0.6, 1, None), (2.0, 0, None)],
+        ids=["family-ties", "axis-ties", "none-ties"],
+    )
+    def test_tied_block_family_band_edge(self, x, scale, points, family):
+        # a tied top block of 3 ones at rho = 2 - 2*g: the first axis has the
+        # gap g and the block's widest member 3g; the tag needs both to tie
+        x = np.asarray(x)
+        g = scale * effective_tie_tol(DEFAULT_TOLERANCES, float(x @ x))
+        ps = prox_h2(x, 2.0 - 2.0 * g)
+        assert ps.contains_zero and len(ps.points) == points
+        assert ps.family == family
+        if points:
+            # a uniform x keeps alpha*e as the family's representative
+            rep = x if family and x.min() == 1.0 else np.eye(x.size)[0]
+            assert np.array_equal(ps.points[0], rep)
+
+    @pytest.mark.parametrize("x", [[1e160, 3e159], [1e160, 0.0, 3e159]])
+    def test_overflowing_plane_is_out_of_range(self, x):
+        # rho*x1*x2 overflows and the planar angle is NaN: the direction is
+        # rejected as out of range, as its NaN gap would be
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="out of range"):
+            prox_h2(x, 1.0)
+
+    def test_zero_tail_keeps_uniform_head_family(self):
+        # the zeros play no part: [1, 1, 0] ties like [1, 1]
+        a, b = prox_h2([1.0, 1.0], 2.0), prox_h2([1.0, 1.0, 0.0], 2.0)
+        assert a.family == b.family == "uniform_sphere"
+        assert np.array_equal(b.points[0], [1.0, 1.0, 0.0])
 
     def test_family_tag_follows_decision(self):
         # a uniform two-entry prefix whose gap ties only on the scale of the

@@ -84,6 +84,27 @@ def test_rejects_bad_directions():
         wrd_assemble(x, 1.0, WStepSolution(w_star=np.zeros(2), g_value=0.0))
 
 
+def test_nan_directions_rejected():
+    # NaN fails the unit and sign tests, for w_star and for a tying rival
+    x = np.array([1.0, 0.5])
+    with pytest.raises(ValueError):
+        wrd_assemble(x, 1.0, WStepSolution(w_star=np.array([np.nan, 0.0]), g_value=-1.0))
+    rival = (np.array([np.nan, 0.0]), -1.0)
+    sol = WStepSolution(w_star=np.array([1.0, 0.0]), g_value=-1.0, rivals=(rival,))
+    with pytest.raises(ValueError):
+        wrd_assemble(x, 1.0, sol)
+
+
+def test_family_needs_its_widest_gap_to_tie():
+    # the tag stands for directions up to family_gap: reported only when that ties too
+    x = np.array([1.0, 1.0])
+    w = np.array([1.0, 0.0])
+    tied = wrd_assemble(x, 2.0, WStepSolution(w_star=w, g_value=0.0, family="uniform_sphere", family_gap=1e-12))
+    assert tied.contains_zero and tied.family == "uniform_sphere"
+    wide = wrd_assemble(x, 2.0, WStepSolution(w_star=w, g_value=0.0, family="uniform_sphere", family_gap=1e-3))
+    assert wide.contains_zero and len(wide.points) == 1 and wide.family is None
+
+
 def test_non_finite_gap_rejected():
     x = np.array([1.0, 0.5])
     sol = WStepSolution(w_star=np.array([1.0, 0.0]), g_value=np.nan)
