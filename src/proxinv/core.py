@@ -37,21 +37,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return sum(float(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE]) for i in pieces)
 
 
-def _validated(x) -> np.ndarray:
-    """View ``x`` as a finite 1-D float array of length >= 1 (no copy)."""
+def _validated(x) -> tuple[np.ndarray, np.ndarray]:
+    """View ``x`` as a finite 1-D float array of length >= 1 (no copy), and |x|."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
     # a finite absolute sum certifies every entry is finite
-    s = float(np.abs(v).sum())
+    a = np.abs(v)
+    s = float(a.sum())
     if s != s or s == np.inf:
         raise ValueError("vector entries must be finite")
-    return v
+    return v, a
 
 
 def as_vector(x) -> np.ndarray:
     """Copy ``x`` into a finite 1-D float array of length >= 1."""
-    return _validated(x).copy()
+    return _validated(x)[0].copy()
 
 
 def descending_vector(x) -> np.ndarray:
@@ -60,7 +61,7 @@ def descending_vector(x) -> np.ndarray:
     Read-only use: every operation builds fresh output arrays, so no copy is
     taken here.
     """
-    v = _validated(x)
+    v = _validated(x)[0]
     if v[-1] < 0.0 or bool(np.any(v[:-1] < v[1:])):
         raise ValueError("expected entries sorted in descending nonnegative order")
     return v
@@ -113,29 +114,50 @@ class SignedPermutation:
         return out
 
 
-#: longest input sorted by NumPy's stable sort; beyond it the default (SIMD)
-#: sort plus the tie repair of :func:`_descending_order` is cheaper
+#: longest input sorted by NumPy's stable sort; beyond it one sort of packed
+#: 64-bit keys in :func:`_descending_order` is cheaper
 _STABLE_SORT_MAX = 1024
+
+#: sign of a sorted slot, indexed by "the entry is negative"
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _descending_order(a: np.ndarray) -> np.ndarray:
     """Indices that sort the magnitudes ``a`` descending, equal ones in index
-    order: exactly ``np.argsort(-a, kind="stable")``."""
-    if a.size <= _STABLE_SORT_MAX:
+    order: exactly ``np.argsort(-a, kind="stable")``.
+
+    Past ``_STABLE_SORT_MAX`` entries, one sort of unique 64-bit keys:
+    bits(max a) - bits(a), ordered like -a, over the index in the low b bits,
+    less the ``shift`` lowest bits that do not fit.  Distinct magnitudes with
+    equal kept bits then come out in index order; only if that is out of
+    order, one more sort, by (run of kept bits, dropped bits, index), repairs it.
+    """
+    n = a.size
+    if n <= _STABLE_SORT_MAX:
         return np.argsort(-a, kind="stable")
-    if bool(np.all(a[:-1] >= a[1:])):  # already in order (all equal, say)
-        return np.arange(a.size)
-    order = np.argsort(-a)
+    bits = a.view(np.uint64)
+    top = bits.max()
+    span = int(top - bits.min())
+    if span == 0:  # all equal
+        return np.arange(n)
+    b = (n - 1).bit_length()
+    shift = max(0, span.bit_length() + b - 64)
+    low = np.uint64((1 << b) - 1)
+    keys = top - bits  # in place below: fresh temporaries cost more than the passes
+    keys <<= b - shift
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    order = (keys & low).view(np.int64)
     s = a[order]
-    new_run = s[1:] != s[:-1]
-    if new_run.all():
+    if bool(np.all(s[:-1] >= s[1:])):
         return order
-    # a run of equal magnitudes comes back in any index order: one integer
-    # sort of run * n + index puts every run in index order, in place
-    run = np.zeros(a.size, dtype=np.intp)
-    np.cumsum(new_run, out=run[1:])
-    run *= a.size
-    return np.sort(run + order) - run
+    run = np.cumsum(np.r_[False, (keys[1:] ^ keys[:-1]) > low], dtype=np.uint64)
+    if int(run[-1]).bit_length() + b + shift > 64:  # no room for the repair keys
+        return np.argsort(-a, kind="stable")
+    keys = run << b + shift | ((top - s.view(np.uint64)) & (1 << shift) - 1) << b | keys & low
+    keys.sort()
+    return (keys & low).view(np.int64)
 
 
 def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
@@ -143,20 +165,15 @@ def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
 
     Ties between equal magnitudes keep their original relative order, and
     zero entries are assigned sign +1 (a ``-0.0`` entry stays ``-0.0``), so
-    the permutation is deterministic.  Up to ``_STABLE_SORT_MAX`` entries the
-    magnitudes are ordered by NumPy's stable sort.  Longer inputs already in
-    order keep it; the others take the faster default sort, and only when
-    the sorted magnitudes hold a run of equal values is each run put back in
-    index order by one integer sort.  Every route gives the stable sort's
-    permutation, bit for bit.
+    the permutation is deterministic: bit for bit NumPy's stable sort of
+    -|x|, which :func:`_descending_order` runs or reproduces.
     Returns the sorted vector together with the permutation that produced it.
     """
-    v = _validated(x)
-    order = _descending_order(np.abs(v))
+    v, a = _validated(x)
+    order = _descending_order(a)
     picked = v[order]
-    signs = np.where(picked < 0.0, -1.0, 1.0)
-    perm = SignedPermutation(order=order, signs=signs)
-    return signs * picked, perm
+    signs = _SIGNS.take(picked < 0.0)
+    return np.multiply(signs, picked, out=picked), SignedPermutation(order=order, signs=signs)
 
 
 def denormalize(u, perm: SignedPermutation) -> np.ndarray:

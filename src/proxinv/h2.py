@@ -151,9 +151,10 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     Returns the solution on the full length of x (zero past the prefix)
     with the prefix length it was resolved on.  When the first column of
     the direction matrix is entirely nonnegative the first axis is optimal;
-    otherwise the prefix is the longest one, up to the negative-entry count,
-    that is uniform, has two entries, or keeps the trailing entry of its
-    negative-eigenvalue direction positive (read off prefix sums).  A
+    otherwise the prefix is the longest one, up to the negative-entry count
+    mu, that keeps the trailing entry of its negative-eigenvalue direction
+    positive (read off prefix sums, in blocks of 1024, 2048, ... prefixes
+    down from mu), or else the tied top block or the first two entries.  A
     uniform prefix of two or more entries carries the ``uniform_sphere``
     tag, and so does the first axis on a tied top block of j >= 2 entries,
     whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
@@ -166,29 +167,30 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         raise ValueError("zero vector has no direction")
     w = np.zeros(x.size)
     k = _mu(x, rho)
+    tied = x.size > 1 and x[0] - x[1] <= UNIFORM_RTOL * x[0]
+    j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])) if tied else 1  # the tied top block
     if k == 0:
         w[0] = 1.0
         g = _objective_G_h2(w, x, rho)
-        if x.size == 1 or x[0] - x[1] > UNIFORM_RTOL * x[0]:
-            return WStepSolution(w_star=w, g_value=g), 1
-        j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))  # the tied top block
-        return WStepSolution(w_star=w, g_value=g, family=UNIFORM_SPHERE, family_gap=j * g), 1
-    if k > 2:
-        # trailing w_lo entry of every prefix in h2_spectrum's rationalized form;
+        family, gap = (UNIFORM_SPHERE, j * g) if j > 1 else (None, None)
+        return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
+    floor = min(k, max(2, j))  # the longest uniform or two-entry prefix: the walk's last stop
+    if k > floor:
+        # trailing w_lo entry of each prefix in h2_spectrum's rationalized form;
         # cumsum rounds unlike its sums, so h2_spectrum confirms each candidate
-        head, ks = x[:k], np.arange(1, k + 1)
-        s1 = np.cumsum(head)
-        m = 0.5 * rho * np.cumsum(head * head) + ks
-        alpha_lo = 2.0 * rho * s1 * s1 / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s1 * s1, 0.0)))
-        uniform = x[0] - head <= UNIFORM_RTOL * x[0]
-        stop = uniform | (ks == 2) | (head - alpha_lo / (rho * s1) > 0.0)
-        for k in map(int, np.flatnonzero(stop)[::-1] + 1):
-            if k == 2 or uniform[k - 1]:
-                break
-            spec = _h2_spectrum(x[:k], rho)
-            if spec.w_lo[-1] > 0.0:
-                w[:k] = spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo))
-                return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
+        s1, s2 = np.cumsum(x[:k]), np.cumsum(x[:k] * x[:k])
+        top, size = k, 1024
+        while top > floor:
+            lo = max(floor, top - size)
+            s, m = s1[lo:top], 0.5 * rho * s2[lo:top] + np.arange(lo + 1, top + 1)
+            alpha_lo = 2.0 * rho * s * s / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s * s, 0.0)))
+            for k in map(int, np.flatnonzero(x[lo:top] - alpha_lo / (rho * s) > 0.0)[::-1] + lo + 1):
+                spec = _h2_spectrum(x[:k], rho)
+                if spec.w_lo[-1] > 0.0:
+                    w[:k] = spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo))
+                    return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
+            top, size = lo, 2 * size
+    k = floor
     head = x[:k]
     if uniform_value(head) is not None:
         w[:k] = 1.0 / np.sqrt(k)

@@ -17,7 +17,7 @@ from .core import (
     Tolerances,
     _dot,
     _positive_rho,
-    as_vector,
+    _validated,
     descending_vector,
 )
 from .wrd import WStepSolution
@@ -38,7 +38,7 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
-    v = as_vector(x)
+    v = _validated(x)[0]  # read only: every point below is a fresh array
 
     # per-entry decision in the squared domain: with s = (rho/2) x_i^2 the
     # gap rule "1 - s < -tie*(1 + s)" (keep) and "|1 - s| <= tie*(1 + s)"
@@ -50,7 +50,7 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     keep = c > c_hi
 
     base = v * keep
-    n_keep = int(keep.sum())
+    n_keep = int(np.count_nonzero(keep))
     kept_any = n_keep > 0
     if kept_any:
         g_value = n_keep - 0.5 * rho * float((c * keep).sum())
@@ -62,7 +62,7 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     if not math.isfinite(g_value):
         raise ValueError("input magnitude out of range: squared entries are not finite")
 
-    if int((c >= c_lo).sum()) == n_keep:  # no borderline entries
+    if int(np.count_nonzero(c >= c_lo)) == n_keep:  # no borderline entries
         if kept_any:
             return ProxSet(False, [base], g_value=g_value)
         return ProxSet(True, [], g_value=g_value)

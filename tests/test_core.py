@@ -185,6 +185,15 @@ class TestNormalize:
         # sorted magnitudes with one adjacent pair out of order (at even n)
         one_swap = np.sort(np.abs(x))[::-1]
         one_swap[[n // 2, (n - 1) // 2]] = one_swap[[(n - 1) // 2, n // 2]]
+        # magnitudes a few ulps to a few million ulps apart: alone they span
+        # few bits and the sort keys hold them whole; with zeros among them
+        # the keys drop low bits, such magnitudes share their kept bits, and
+        # they take the repair
+        narrow = (1.0 + rng.random(n) * 10.0 ** rng.uniform(-13.0, -6.0)) * rng.choice([-1.0, 1.0], n)
+        narrow_zeros = narrow.copy()
+        narrow_zeros[rng.choice(n, max(1, n // 10), replace=False)] = rng.choice([0.0, -0.0], max(1, n // 10))
+        ulps = (1.0 + rng.integers(0, 2**20, n) * 2.0**-52) * rng.choice([-1.0, 1.0], n)
+        ulps[rng.choice(n, max(1, n // 10), replace=False)] = rng.choice([0.0, -0.0], max(1, n // 10))
         return {
             "gauss": x,
             "third_zero": third_zero,
@@ -195,10 +204,14 @@ class TestNormalize:
             "top_block": top_block,
             "presorted": np.sort(np.round(np.abs(x), 1))[::-1] * rng.choice([-1.0, 1.0], n),
             "one_swap": one_swap,
+            "narrow": narrow,
+            "narrow_zeros": narrow_zeros,
+            "ulps": ulps,
         }
 
-    # 1025 is the first length past the stable-sort rule of normalize
-    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 100, 1000, 1025, 20000, 30000])
+    # 1025 is the first length past the stable-sort rule of normalize; the
+    # index takes 15 bits of each sort key up to 2**15 entries, 16 past it
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 100, 1000, 1025, 20000, 2**15, 2**15 + 1, 30000])
     def test_matches_stable_argsort(self, n):
         rng = np.random.default_rng(n)
         for kind, x in self.sort_cases(rng, n).items():
@@ -209,6 +222,20 @@ class TestNormalize:
             assert np.array_equal(perm.order, order), kind
             assert perm.signs.tobytes() == signs.tobytes(), kind
             assert xs.tobytes() == (signs * picked).tobytes(), kind
+
+    def test_matches_stable_argsort_past_repair_keys(self):
+        # 2**21 + 2 runs of sort keys: distinct magnitudes 2**22 ulps apart
+        # in [2, 4), one zero, and one pair 1 ulp apart in the wrong index
+        # order.  The repair keys would need 65 bits, so the stable sort
+        # stands in
+        rng = np.random.default_rng(21)
+        n = 2**21 + 3
+        x = 2.0 + rng.permutation(n) * 2.0**-29
+        p, q, r = rng.choice(n, 3, replace=False)
+        x[min(p, q)] += 2.0**-40  # off the grid, so that one ulp up shares its key
+        x[max(p, q)] = np.nextafter(x[min(p, q)], 4.0)
+        x[r] = 0.0
+        assert np.array_equal(normalize(x)[1].order, np.argsort(-x, kind="stable"))
 
 
 class TestZeroTail:

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -17,6 +18,9 @@ from proxinv import (
     wstep_h2,
     wstep_h2_r2,
 )
+from proxinv.core import UNIFORM_RTOL, UNIFORM_SPHERE, _dot, _objective_G_h2
+from proxinv.h2 import _h2_spectrum, _mu, _wstep_h2_r2
+from proxinv.wrd import WStepSolution
 from helpers import best_f, candidates, f_value, sorted_desc
 
 X_REF = np.array([2.5, 1.5, 1.0, 0.5])
@@ -65,6 +69,66 @@ def scan_cases(rng, count):
             x[block:] *= rng.uniform()
             x[:block] = x.max()
         yield kind, np.sort(x)[::-1].copy(), float(10.0 ** rng.uniform(-2.0, 1.0))
+
+
+def full_scan_wstep_h2(x, rho):
+    """wstep_h2 as it was before the block walk: the trailing-entry
+    expression over the whole mu-prefix, its stops (uniform prefixes, k = 2
+    and positive trailing entries) walked from the top.  The block walk must
+    return the same prefix and the same bits."""
+    rho = float(rho)
+    w = np.zeros(x.size)
+    k = _mu(x, rho)
+    if k == 0:
+        w[0] = 1.0
+        g = _objective_G_h2(w, x, rho)
+        if x.size == 1 or x[0] - x[1] > UNIFORM_RTOL * x[0]:
+            return WStepSolution(w_star=w, g_value=g), 1
+        j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))
+        return WStepSolution(w_star=w, g_value=g, family=UNIFORM_SPHERE, family_gap=j * g), 1
+    if k > 2:
+        head, ks = x[:k], np.arange(1, k + 1)
+        s1 = np.cumsum(head)
+        m = 0.5 * rho * np.cumsum(head * head) + ks
+        alpha_lo = 2.0 * rho * s1 * s1 / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s1 * s1, 0.0)))
+        uniform = x[0] - head <= UNIFORM_RTOL * x[0]
+        stop = uniform | (ks == 2) | (head - alpha_lo / (rho * s1) > 0.0)
+        for k in map(int, np.flatnonzero(stop)[::-1] + 1):
+            if k == 2 or uniform[k - 1]:
+                break
+            spec = _h2_spectrum(x[:k], rho)
+            if spec.w_lo[-1] > 0.0:
+                w[:k] = spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo))
+                return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
+    head = x[:k]
+    if uniform_value(head) is not None:
+        w[:k] = 1.0 / np.sqrt(k)
+        family = UNIFORM_SPHERE if k >= 2 else None
+        return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho), family=family), k
+    sol2 = _wstep_h2_r2(head, rho)
+    w[:2] = sol2.w_star
+    return WStepSolution(w_star=w, g_value=sol2.g_value), 2
+
+
+def block_scan_cases(rng, count):
+    """Sorted inputs of n = 1025..30000, past the scan's first block of 1024
+    prefixes.  Near-uniform heads 1 + u*s at rho = 2/(x_1 x_m) put each
+    prefix's trailing entry at the rounding level: with s log-uniform on
+    [1e-12, 1e-2] the candidate masks are not prefixes and picks lie blocks
+    deep; with s within 4e-12 no candidate confirms above the tied top block.
+    Gaussian magnitudes under a tied top block of 2..n/2 entries."""
+    kinds = ("near_uniform", "near_tied", "top_block")
+    for i in range(count):
+        kind = kinds[i % 3]
+        n = int(rng.integers(1025, 30001 if kind != "near_tied" else 6001))
+        if kind == "top_block":
+            x = np.sort(np.abs(rng.normal(size=n)))[::-1].copy()
+            x[: int(rng.integers(2, n // 2))] = x[0]
+            yield kind, x, float(10.0 ** rng.uniform(-2.0, 1.5))
+            continue
+        s = 10.0 ** rng.uniform(-12.0, -2.0) if kind == "near_uniform" else rng.uniform(1e-12, 4e-12)
+        x = np.sort(1.0 + rng.random(n) * s)[::-1].copy()
+        yield kind, x, 2.0 / (x[0] * x[int(rng.integers(1, n))])
 
 
 class TestSpectrum:
@@ -240,6 +304,32 @@ class TestDirectionSolver:
             assert np.max(np.abs(sol.w_star - w_ref)) <= 1e-12
             truncated += k < mu(x, rho)
         assert truncated >= 500
+
+    def test_block_walk_matches_full_scan(self):
+        # every prefix past the first block, in the order the full scan took
+        # them: same k, same w_star bytes, same g_value
+        rng = np.random.default_rng(60)
+        seen = dict.fromkeys(("second_block", "third_block", "floor", "tied_top", "not_prefix"), 0)
+        for kind, x, rho in block_scan_cases(rng, 300):
+            sol, k = wstep_h2(x, rho)
+            ref, k_ref = full_scan_wstep_h2(x, rho)
+            assert k == k_ref, (kind, x.size, rho)
+            assert sol.w_star.tobytes() == ref.w_star.tobytes(), (kind, x.size, rho)
+            assert repr(sol.g_value) == repr(ref.g_value)
+            assert (sol.family, repr(sol.family_gap)) == (ref.family, repr(ref.family_gap))
+            top = _mu(x, rho)
+            j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))
+            seen["second_block"] += top - 3072 < k <= top - 1024
+            seen["third_block"] += k <= top - 3072
+            seen["floor"] += k == max(2, j) < top
+            seen["tied_top"] += j >= 2 and k > j
+            head = x[:top]
+            s1 = np.cumsum(head)
+            m = 0.5 * rho * np.cumsum(head * head) + np.arange(1, top + 1)
+            alpha_lo = 2.0 * rho * s1 * s1 / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s1 * s1, 0.0)))
+            mask = head - alpha_lo / (rho * s1) > 0.0
+            seen["not_prefix"] += not mask[: np.count_nonzero(mask)].all()
+        assert min(seen.values()) >= 5, seen
 
 
 class TestProx:
