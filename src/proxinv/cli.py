@@ -7,7 +7,7 @@ eigenstructure as JSON; ``oracle`` compares an analytic result against the
 brute-force grid and sets the exit code accordingly.
 
 Exit codes: 0 success, 1 oracle mismatch, 2 usage/input errors (an input
-magnitude out of range included), 3 degenerate spectrum request.
+magnitude out of range or a grid too large to allocate), 3 degenerate spectrum.
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.run(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _validated(x) -> tuple[np.ndarray, np.ndarray]:
     """View ``x`` as a finite 1-D float array of length >= 1 (no copy), and |x|."""
-    v = np.asarray(x, dtype=float)
+    v = np.asarray(x)
+    if v.dtype.kind == "c":  # a float cast would drop the imaginary parts
+        raise ValueError("vector entries must be real, not complex")
+    v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
     # a finite absolute sum certifies every entry is finite

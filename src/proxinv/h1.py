@@ -37,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     ProxSet,
     Tolerances,
     _dot,
@@ -46,11 +45,11 @@ from .core import (
     _positive_rho,
     as_vector,
     descending_vector,
-    normalize,
+    normalize,  # unused here; perfbench/tracing.TARGETS wraps h1.normalize
     objective_G_h1,
     uniform_value,
 )
-from .wrd import WStepSolution, decision_step, wrd_assemble
+from .wrd import WStepSolution, _uniform_args, decision_step, prox, wrd_assemble
 
 #: kappa below which the first axis is stationary for the planar problem
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
@@ -208,12 +207,7 @@ def prox_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> ProxSet:
 
 def prox_h1_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Prox at a uniform point: threshold sqrt(2/(rho*sqrt(n))) on the level."""
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    alpha = float(alpha)
-    n = int(n)
-    if alpha <= 0.0 or n < 1:
-        raise ValueError("alpha must be positive and n >= 1")
+    alpha, n, rho, tol = _uniform_args(alpha, n, rho, tol)
     f_zero = 0.5 * rho * alpha * alpha * n
     g_diag = math.sqrt(n) - f_zero
     g_axis = 1.0 - 0.5 * rho * alpha * alpha
@@ -535,24 +529,13 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
 def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
-    The direction lives on the m nonzero sorted entries: {0} for m = 0, the
-    uniform closed form for a uniform head, else one radius and decision
-    step on :func:`wstep_h1_r2` (m = 2) or :func:`wstep_h1` (m >= 3), and
-    ``perm.invert`` restores the zero tail.  Every step is exact and finite,
-    so ``tol.tie_tol`` is the only setting.
+    :func:`~proxinv.wrd.prox` with :func:`prox_h1_uniform` and a w-step of
+    :func:`wstep_h1_r2` on a two-entry head, :func:`wstep_h1` on a longer one.
+    Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    xs, perm = normalize(x)
-    m = int(np.count_nonzero(xs))
-    if m == 0:
-        return ProxSet(True, [], g_value=1.0)
-    head = xs[:m]
-    if uniform_value(head) is not None:
-        ps = prox_h1_uniform(head[0], m, rho, tol)
-    else:
-        ps = wrd_assemble(head, rho, (wstep_h1_r2 if m == 2 else wstep_h1)(head, rho), tol)
-    return ps.map_points(perm.invert)
+    return prox(
+        x, rho, tol, lambda h, r: (wstep_h1_r2 if h.size == 2 else wstep_h1)(h, r), prox_h1_uniform
+    )
 
 
 def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:

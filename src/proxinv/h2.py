@@ -11,13 +11,11 @@ never materialized: all products use the rank-2 structure.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     UNIFORM_RTOL,
     UNIFORM_SPHERE,
     ProxSet,
@@ -27,10 +25,10 @@ from .core import (
     _plane_vector,
     _positive_rho,
     descending_vector,
-    normalize,
+    normalize,  # unused here, as is wrd_assemble: perfbench/tracing.TARGETS wraps both
     uniform_value,
 )
-from .wrd import WStepSolution, decision_step, is_tie, wrd_assemble
+from .wrd import WStepSolution, _uniform_args, decision_step, is_tie, prox, wrd_assemble
 
 
 @dataclass
@@ -108,12 +106,7 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
     (d = 2 - rho*alpha^2) run from the first axis's d/2 to the uniform
     direction's n*d/2.  When n*d/2 does not tie and d > 0, the first axis
     is the least gap and may tie alone (as on :func:`wstep_h2`'s tied top block)."""
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    alpha = float(alpha)
-    n = int(n)
-    if alpha <= 0.0 or n < 1:
-        raise ValueError("alpha must be positive and n >= 1")
+    alpha, n, rho, tol = _uniform_args(alpha, n, rho, tol)
     d = 2.0 - rho * alpha * alpha
     f_zero = 0.5 * rho * alpha * alpha * n
     # the nonnegative sphere of one coordinate is a single point, not a family
@@ -202,17 +195,6 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
 
 
 def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
-    """Set-valued prox of the squared l1/l2 ratio, solved as :func:`prox_h1`
-    on the nonzero sorted head; ``perm.invert`` restores the zero tail."""
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    xs, perm = normalize(x)
-    m = int(np.count_nonzero(xs))
-    if m == 0:
-        return ProxSet(True, [], g_value=1.0)
-    head = xs[:m]
-    if uniform_value(head) is not None:
-        ps = prox_h2_uniform(head[0], m, rho, tol)
-    else:
-        ps = wrd_assemble(head, rho, wstep_h2(head, rho)[0], tol)
-    return ps.map_points(perm.invert)
+    """Set-valued prox of the squared l1/l2 ratio: :func:`~proxinv.wrd.prox`
+    with :func:`wstep_h2` and :func:`prox_h2_uniform`, as :func:`prox_h1`."""
+    return prox(x, rho, tol, lambda h, r: wstep_h2(h, r)[0], prox_h2_uniform)

@@ -6,6 +6,8 @@ the decision step keeps the origin, the scaled point, or both, depending on
 the sign of the gap.  The gap equals F(r*w) - F(0) exactly, so the decision
 never recomputes F and avoids cancellation for large inputs.
 
+:func:`prox` is the driver both ratio operators run; only their w-step and
+uniform closed form depend on the penalty.
 :func:`decision_step` is the one decision rule of the package: the solved
 directions of :func:`wrd_assemble` and the uniform and single-axis closed
 forms of the h1 and h2 operators all go through it, and :func:`is_tie` is
@@ -15,6 +17,7 @@ its tie test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,8 @@ from .core import (
     _dot,
     _positive_rho,
     effective_tie_tol,
+    normalize,
+    uniform_value,
 )
 
 _UNIT_ATOL = 1e-10
@@ -131,3 +136,28 @@ def _member(w, x: np.ndarray) -> np.ndarray:
     if r < -_NEG_ATOL:
         raise ValueError("negative radius: x and w_star must have nonnegative overlap")
     return max(r, 0.0) * w
+
+
+def prox(x, rho: float, tol: Tolerances | None, wstep, uniform) -> ProxSet:
+    """Prox of a ratio penalty on the m nonzero entries of the sorted ``x``: {0}
+    for m = 0, ``uniform(alpha, m, rho, tol)`` on a head uniform at alpha, else
+    :func:`wrd_assemble` on ``wstep(head, rho)``; ``perm.invert`` restores x's frame."""
+    rho = _positive_rho(rho)
+    xs, perm = normalize(x)
+    m = int(np.count_nonzero(xs))
+    if m == 0:
+        return ProxSet(True, [], g_value=1.0)
+    head = xs[:m]
+    if uniform_value(head) is not None:
+        return uniform(head[0], m, rho, tol).map_points(perm.invert)
+    return wrd_assemble(head, rho, wstep(head, rho), tol).map_points(perm.invert)
+
+
+def _uniform_args(alpha, n, rho: float, tol: Tolerances | None) -> tuple:
+    """Checked arguments of a uniform closed form at alpha*e in n dimensions."""
+    rho, alpha = _positive_rho(rho), float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("input magnitude out of range: alpha is not finite")
+    if not (alpha > 0.0 and isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"alpha must be positive and n an integer >= 1, not {alpha!r} and {n!r}")
+    return alpha, int(n), rho, tol or DEFAULT_TOLERANCES

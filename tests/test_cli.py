@@ -257,6 +257,16 @@ class TestOracleCommand:
         assert "PASS" not in out and "FAIL" not in out
         assert "positive finite" in err
 
+    def test_unallocatable_box_exits_2(self, capsys):
+        # the box grid would need about 700 PiB, more than any address space,
+        # so the allocation fails at once; exit 1 would read as a mismatch
+        code, out, err = run_cli(
+            capsys, ["oracle", "--fn", "h2", "--rho", "1", "--x", "1,0.5", "--box", "1e14"]
+        )
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert "allocate" in err
+
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_tolerance_exits_2(self, capsys, value):
         # nan and -1 would read as a mismatch and inf as a pass for any result

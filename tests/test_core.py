@@ -52,6 +52,17 @@ class TestVectors:
         with pytest.raises(ValueError):
             descending_vector([2.0, -1.0])
 
+    @pytest.mark.parametrize("x", [np.array([3 + 4j, 0.5]), [1 + 1j, 2.0], np.array([2.0 + 0j, 1.0])])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda x: prox_l0(x, 1.0), lambda x: prox_h1(x, 1.0), lambda x: prox_h2(x, 1.0), normalize],
+        ids=["prox_l0", "prox_h1", "prox_h2", "normalize"],
+    )
+    def test_complex_input_rejected(self, fn, x):
+        # a float cast would drop the imaginary parts, even zero ones
+        with pytest.raises(ValueError, match="complex"):
+            fn(x)
+
 
 class TestObjectiveF:
     def test_zero_point(self):

@@ -9,6 +9,8 @@ from proxinv import (
     objective_F,
     objective_G_h1,
     objective_G_h2,
+    prox_h1_uniform,
+    prox_h2_uniform,
     wrd_assemble,
     wstep_l0,
 )
@@ -149,3 +151,27 @@ def test_output_membership():
             assert f_value("l0", p, xs, rho) <= best + tie
         if ps.contains_zero:
             assert f0 <= best + tie
+
+
+@pytest.mark.parametrize("form", [prox_h1_uniform, prox_h2_uniform])
+@pytest.mark.parametrize(
+    "alpha, n, match",
+    [
+        (1.0, 2.5, "integer"),
+        (1.0, "3", "integer"),
+        (1.0, np.float64(3.0), "integer"),
+        (1.0, 0, "integer >= 1"),
+        (0.0, 3, "positive"),
+        (-1.0, 3, "positive"),
+        (np.nan, 3, "out of range"),
+        (np.inf, 3, "out of range"),
+        (-np.inf, 3, "out of range"),
+    ],
+)
+def test_uniform_forms_check_their_arguments(form, alpha, n, match):
+    with pytest.raises(ValueError, match=match):
+        form(alpha, n, 1.0)
+    # an integer of any integral type is the same dimension
+    a, b = form(1.0, np.int64(3), 1.0), form(1.0, 3, 1.0)
+    assert (a.contains_zero, a.g_value, a.family) == (b.contains_zero, b.g_value, b.family)
+    assert all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
