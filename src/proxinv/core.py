@@ -37,12 +37,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return sum(float(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE]) for i in pieces)
 
 
+#: entry types of an object array that a float cast truncates or rejects
+_COMPLEX = (complex, np.complexfloating)
+
+
 def _validated(x) -> tuple[np.ndarray, np.ndarray]:
     """View ``x`` as a finite 1-D float array of length >= 1 (no copy), and |x|."""
     v = np.asarray(x)
-    if v.dtype.kind == "c":  # a float cast would drop the imaginary parts
+    kind = v.dtype.kind
+    # a float cast drops imaginary parts, also of the NumPy complex entries
+    # of an object array, and raises TypeError on a Python complex entry
+    if kind == "c" or (kind == "O" and any(isinstance(e, _COMPLEX) for e in v.flat)):
         raise ValueError("vector entries must be real, not complex")
-    v = np.asarray(v, dtype=float)
+    try:
+        v = np.asarray(v, dtype=float)
+    except TypeError as exc:  # an object entry that is not a number
+        raise ValueError(f"vector entries must be real numbers: {exc}") from None
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
     # a finite absolute sum certifies every entry is finite

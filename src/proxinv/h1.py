@@ -419,7 +419,7 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
     breakpoints y (ending in 0) and r = rho*x1^2: the screen, then the
     scalar solves (see :func:`wstep_h1`)."""
     m = y.size - 1
-    A, B = np.cumsum(y * y), np.cumsum(y)  # A[k-1], B[k-1]: over the top k
+    A, B = (y * y).cumsum(), y.cumsum()  # A[k-1], B[k-1]: over the top k
     roots = []
 
     j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
@@ -438,20 +438,20 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
     change = neg[1:] != neg[:-1]
     both = neg[1:] & neg[:-1]
     both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
-    p = both.nonzero()[0]
-    if p.size:
-        # end slopes on each piece; a maximum inside needs F' > 0 at the
+    if both.any():
+        # end slopes of every piece; a maximum inside needs F' > 0 at the
         # lower end and < 0 at the upper one
-        a, b, kp, bp = t[p + 1], t[p], k[p + 1], Bk[p + 1]
-        da = r * (q[p + 1] - a * bp) + (bp - kp * a) / n[p + 1]
-        db = r * (q[p] - b * bp) + (bp - kp * b) / n[p]
-        rise = (da > 0.0) & (db < 0.0)
-        p, da, db = p[rise], da[rise], -db[rise]
+        a, b, kp, bp = t[1:], t[:-1], k[1:], Bk[1:]
+        da = r * (q[1:] - a * bp) + (bp - kp * a) / n[1:]
+        db = r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1]
+        both &= da > 0.0
+        both &= db < 0.0
+        p = both.nonzero()[0]
+        da, db = da[p], -db[p]
         # the tangents' zeros a - f_a/da and b + f_b/db are in order, scaled
         # by s^2 with s = max(da, db) so that no product overflows
         s = np.maximum(da, db)
         da, db = da / s, db / s
-        both[:] = False
         both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
     for p in (change | both).nonzero()[0].tolist():
         fd = _piece(r, float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
@@ -500,11 +500,21 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     direction, together with the first axis (the k = 1 piece); the first
     lowest objective wins and the other scored directions are returned as
     ``rivals``, so the decision step keeps every direction that ties.
+
+    This public form checks ``rho`` and the sorted positive head, then runs
+    :func:`_wstep_h1`; :func:`prox_h1` calls that kernel directly on the
+    head that :func:`~proxinv.core.normalize` has already validated.
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
     if x[-1] <= 0.0:
         raise ValueError("entries must be strictly positive (trim zeros first)")
+    return _wstep_h1(x, rho)
+
+
+def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
+    """:func:`wstep_h1` on trusted input, checked nowhere here: a descending
+    float array of positive finite entries and a positive finite ``rho``."""
     m = x.size
     # the objective is unchanged under x -> x/x1, rho -> rho*x1^2
     x1 = float(x[0])
@@ -515,8 +525,11 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     # hold one
     live = m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
     roots = _roots(y, rho * x1 * x1) if live else []
-    scored = []
-    for kk, tk in [(1, 0.0)] + roots:  # the first axis, then the roots
+    # the first axis: <x, e1> = x1 and ||e1||_1 = 1 exactly
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    scored = [(e1, -0.5 * rho * x1 * x1 + 1.0)]
+    for kk, tk in roots:
         w = np.zeros(m)
         w[:kk] = y[:kk] - tk
         w /= math.sqrt(_dot(w, w))
@@ -530,11 +543,12 @@ def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
     :func:`~proxinv.wrd.prox` with :func:`prox_h1_uniform` and a w-step of
-    :func:`wstep_h1_r2` on a two-entry head, :func:`wstep_h1` on a longer one.
+    :func:`wstep_h1_r2` on a two-entry head, and on a longer one the trusted
+    :func:`_wstep_h1`, since the driver has validated the head already.
     Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
     """
     return prox(
-        x, rho, tol, lambda h, r: (wstep_h1_r2 if h.size == 2 else wstep_h1)(h, r), prox_h1_uniform
+        x, rho, tol, lambda h, r: (wstep_h1_r2 if h.size == 2 else _wstep_h1)(h, r), prox_h1_uniform
     )
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,16 +54,30 @@ class TestVectors:
         with pytest.raises(ValueError):
             descending_vector([2.0, -1.0])
 
-    @pytest.mark.parametrize("x", [np.array([3 + 4j, 0.5]), [1 + 1j, 2.0], np.array([2.0 + 0j, 1.0])])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([3 + 4j, 0.5]),
+            [1 + 1j, 2.0],
+            np.array([2.0 + 0j, 1.0]),
+            np.array([1 + 1j, 2], dtype=object),
+            np.array([np.complex128(1 + 1j), 2.0], dtype=object),
+        ],
+    )
     @pytest.mark.parametrize(
         "fn",
         [lambda x: prox_l0(x, 1.0), lambda x: prox_h1(x, 1.0), lambda x: prox_h2(x, 1.0), normalize],
         ids=["prox_l0", "prox_h1", "prox_h2", "normalize"],
     )
     def test_complex_input_rejected(self, fn, x):
-        # a float cast would drop the imaginary parts, even zero ones
+        # a float cast would drop the imaginary parts, even zero ones, or
+        # raise TypeError on an object array
         with pytest.raises(ValueError, match="complex"):
             fn(x)
+
+    def test_non_number_object_rejected(self):
+        with pytest.raises(ValueError, match="real numbers"):
+            as_vector(np.array([{}, 2.0], dtype=object))
 
 
 class TestObjectiveF:
@@ -438,6 +454,60 @@ class TestValidateOnce:
                 counted.clear()
                 fn(x, rho)
                 assert len(counted) <= 1
+
+    def test_prox_h1_sorts_and_checks_once(self, monkeypatch):
+        # on a head of three or more entries the w-step is the trusted
+        # kernel: descending_vector runs nowhere outside normalize
+        outside, depth = [], [0]
+        for mod in (proxinv.core, proxinv.h1, proxinv.h2):
+            orig = mod.descending_vector
+
+            def counting(x, orig=orig):
+                outside.append(depth[0] == 0)
+                return orig(x)
+
+            monkeypatch.setattr(mod, "descending_vector", counting)
+        orig_normalize = proxinv.wrd.normalize
+
+        def normalizing(x):
+            depth[0] += 1
+            try:
+                return orig_normalize(x)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(proxinv.wrd, "normalize", normalizing)
+        rng = np.random.default_rng(12)
+        inputs = [rng.normal(size=n) for n in (3, 10, 100, 1000)]
+        inputs += [np.concatenate([[3.0, -1.0, 0.5], np.zeros(7)]), np.array([2.0, -2.0, 2.0, 1.0])]
+        inputs.append(np.array([1.35, 0.95, 0.85, 0.65, 0.15]))
+        for x in inputs:
+            for rho in (0.05, 0.5, 0.7783515660155081, 3.0, 30.0):
+                prox_h1(x, rho)
+        assert not any(outside)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([1.0, 2.0, 3.0], "expected entries sorted in descending nonnegative order"),
+            ([2.0, 1.0, -1.0], "expected entries sorted in descending nonnegative order"),
+            ([2.0, 1.0, 0.0], "entries must be strictly positive (trim zeros first)"),
+        ],
+        ids=["unsorted", "negative", "zero-tail"],
+    )
+    def test_public_wstep_h1_checks_head(self, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wstep_h1(x, 1.0)
+
+    def test_prox_h1_out_of_range_unchanged(self):
+        # F(0) overflows: the same error, after the overflow warnings of the
+        # squared norms
+        message = "input magnitude out of range: decision gap or F(0) is not finite"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                prox_h1(np.array([3.0, 2.0, 1.0]) * 1e160, 1e-320)
+        assert all(w.category is RuntimeWarning and "overflow" in str(w.message) for w in caught), caught
 
     #: unsorted, negative, infinite and NaN inputs, by length
     BAD_X = {

@@ -1,8 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
+import proxinv.h1
 from proxinv import (
     L_eval,
     brute_prox,
@@ -21,6 +23,9 @@ from proxinv import (
     wstep_h1,
     wstep_h1_r2,
 )
+from proxinv.core import _dot, _objective_G_h1
+from proxinv.h1 import _N2_FLOOR, _ROOT_TOL, _newton_root, _peak, _piece, _wstep_h1
+from proxinv.wrd import WStepSolution
 from helpers import best_f, candidates, f_value, sorted_desc
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -500,7 +505,106 @@ def reference_corpus(rng, count):
     return cases
 
 
+def gather_screen_wstep_h1(x, rho, peaks):
+    """wstep_h1 before the trusted kernel, kept as a reference: the first
+    axis scored as a length-m unit vector by the objective, and the
+    two-root test run on pieces gathered by index.  Appends the ends of every
+    piece handed to ``_peak`` to ``peaks``; returns the solution and the set
+    of branches taken."""
+    m = x.size
+    x1 = float(x[0])
+    y = np.zeros(m + 1)
+    np.divide(x, x1, out=y[:m])
+    r = rho * x1 * x1
+    roots, seen = [], set()
+    if m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0:
+        A, B = np.cumsum(y * y), np.cumsum(y)
+        j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+        if j > 1:
+            seen.add("tied_top")
+            if y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
+                roots.append((j, 1.0 / (r * math.sqrt(j))))
+        t = y[j:]
+        k = np.arange(j, m + 1.0)
+        Ak, Bk = A[j - 1 : m], B[j - 1 : m]
+        q = Ak - t * Bk
+        n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
+        f = r * t * q - n
+        neg = f < 0.0
+        change = neg[1:] != neg[:-1]
+        both = neg[1:] & neg[:-1]
+        both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
+        p = both.nonzero()[0]
+        if p.size:
+            seen.add("tangent")
+            a, b, kp, bp = t[p + 1], t[p], k[p + 1], Bk[p + 1]
+            da = r * (q[p + 1] - a * bp) + (bp - kp * a) / n[p + 1]
+            db = r * (q[p] - b * bp) + (bp - kp * b) / n[p]
+            rise = (da > 0.0) & (db < 0.0)
+            p, da, db = p[rise], da[rise], -db[rise]
+            s = np.maximum(da, db)
+            da, db = da / s, db / s
+            both[:] = False
+            both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
+        for p in (change | both).nonzero()[0].tolist():
+            fd = _piece(r, float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
+            lo, hi = float(t[p + 1]), float(t[p])
+            if change[p]:
+                ends = (lo, hi) if neg[p + 1] else (hi, lo)
+                roots.append((j + 1 + p, _newton_root(fd, *ends, _ROOT_TOL)))
+                continue
+            peaks.append((lo, hi))
+            if (top := _peak(fd, lo, hi, _ROOT_TOL)) is not None:
+                seen.add("two_root")
+                roots += [(j + 1 + p, _newton_root(fd, end, top, _ROOT_TOL)) for end in (lo, hi)]
+    scored = []
+    for kk, tk in [(1, 0.0)] + roots:
+        w = np.zeros(m)
+        w[:kk] = y[:kk] - tk
+        w /= math.sqrt(_dot(w, w))
+        scored.append((w, _objective_G_h1(w, x, rho)))
+    best = min(range(len(scored)), key=lambda i: scored[i][1])
+    seen.add("root" if best else "first_axis")
+    w, g = scored.pop(best)
+    return WStepSolution(w_star=w, g_value=g, rivals=tuple(scored)), seen
+
+
 class TestSupportScan:
+    def test_trusted_scan_matches_parent(self, monkeypatch):
+        # the trusted kernel, with the first axis scored in closed form and
+        # the two-root test on contiguous slices, gives the same bits as the
+        # gather screen and hands the same pieces to _peak
+        peaks = []
+
+        def recording_peak(fd, a, b, width):
+            peaks.append((a, b))
+            return _peak(fd, a, b, width)
+
+        monkeypatch.setattr(proxinv.h1, "_peak", recording_peak)
+        rng = np.random.default_rng(76)
+        pinned = np.array([1.35, 0.95, 0.85, 0.65, 0.15])
+        # the pinned two-root input at five scales (the scan sees x/x1 and
+        # rho*x1^2, so each keeps its two-root pieces)
+        cases = [(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
+        cases += reference_corpus(rng, 1500)
+        seen = dict.fromkeys(("tangent", "peak", "two_root", "tied_top", "first_axis", "root"), 0)
+        for x, rho in cases:
+            peaks.clear()
+            sol = _wstep_h1(x, rho)
+            ref_peaks = []
+            ref, branches = gather_screen_wstep_h1(x, rho, ref_peaks)
+            assert peaks == ref_peaks, (x.size, rho)
+            assert sol.w_star.tobytes() == ref.w_star.tobytes(), (x.size, rho)
+            assert repr(sol.g_value) == repr(ref.g_value)
+            assert (sol.family, sol.family_gap) == (ref.family, ref.family_gap)
+            assert len(sol.rivals) == len(ref.rivals)
+            for (w, g), (w_ref, g_ref) in zip(sol.rivals, ref.rivals):
+                assert w.tobytes() == w_ref.tobytes() and repr(g) == repr(g_ref)
+            for name in branches:
+                seen[name] += 1
+            seen["peak"] += bool(ref_peaks)
+        assert min(seen.values()) >= 5, seen
+
     def test_never_above_projected_gradient(self):
         rng = np.random.default_rng(72)
         for head, rho in scan_corpus(rng, 1000):
