@@ -67,18 +67,7 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
 def _h2_spectrum(x: np.ndarray, rho: float) -> H2Spectrum:
     """:func:`h2_spectrum` on a trusted sorted, non-uniform ``x``."""
     n = x.size
-    s1 = float(x.sum())
-    s2 = _dot(x, x)
-    if not (math.isfinite(s1) and math.isfinite(s2)):
-        raise ValueError("input magnitude out of range: sum or squared norm is not finite")
-    m = 0.5 * rho * s2 + n
-    delta = max(m * m - 2.0 * rho * s1 * s1, 0.0)
-    alpha_hi = m + np.sqrt(delta)
-    # rationalized form; the direct difference m - sqrt(delta) cancels badly
-    # when delta approaches its lower bound
-    alpha_lo = 2.0 * rho * s1 * s1 / alpha_hi
-    shift_lo = alpha_lo / (rho * s1)
-    shift_hi = alpha_hi / (rho * s1)
+    delta, alpha_lo, alpha_hi, shift_lo, shift_hi = _h2_scalars(x, rho)
     return H2Spectrum(
         delta=delta,
         alpha_lo=alpha_lo,
@@ -90,6 +79,29 @@ def _h2_spectrum(x: np.ndarray, rho: float) -> H2Spectrum:
     )
 
 
+def _h2_scalars(x: np.ndarray, rho: float) -> tuple[float, float, float, float, float]:
+    """The scalars of :func:`h2_spectrum` on a trusted sorted ``x``:
+    ``delta``, ``alpha_lo``, ``alpha_hi`` and the shifts with
+    ``w_lo = x - shift_lo`` and ``w_hi = x - shift_hi``.  Two reductions
+    over x and no array, so :func:`wstep_h2` can test a prefix's trailing
+    ``w_lo`` entry without building the eigenvectors.
+
+    Raises ``ValueError`` when the sum or the squared norm of x is not finite.
+    """
+    n = x.size
+    s1 = float(x.sum())
+    s2 = _dot(x, x)
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise ValueError("input magnitude out of range: sum or squared norm is not finite")
+    m = 0.5 * rho * s2 + n
+    delta = max(m * m - 2.0 * rho * s1 * s1, 0.0)
+    alpha_hi = m + np.sqrt(delta)
+    # rationalized form; the direct difference m - sqrt(delta) cancels badly
+    # when delta approaches its lower bound
+    alpha_lo = 2.0 * rho * s1 * s1 / alpha_hi
+    return delta, alpha_lo, alpha_hi, alpha_lo / (rho * s1), alpha_hi / (rho * s1)
+
+
 def mu(x_sorted, rho: float) -> int:
     """Count of negative entries of 2*e - rho*x_1*x (a prefix, by sorting)."""
     rho = _positive_rho(rho)
@@ -97,7 +109,22 @@ def mu(x_sorted, rho: float) -> int:
 
 
 def _mu(x: np.ndarray, rho: float) -> int:
-    return int(np.count_nonzero(2.0 - rho * x[0] * x < 0.0))
+    """:func:`mu` on a trusted sorted ``x``, by bisection.
+
+    With c = rho*x_1, the test ``2.0 - c*x_i < 0.0`` holds on a prefix:
+    rounded products are monotone in x_i, and an infinite c meets the zero
+    tail only, where inf*0 is NaN and the test fails.  Python floats keep
+    the overflow of c silent.
+    """
+    c = rho * float(x[0])
+    lo, hi = 0, x.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 2.0 - c * float(x[mid]) < 0.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = None) -> ProxSet:
@@ -147,7 +174,9 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     otherwise the prefix is the longest one, up to the negative-entry count
     mu, that keeps the trailing entry of its negative-eigenvalue direction
     positive (read off prefix sums, in blocks of 1024, 2048, ... prefixes
-    down from mu), or else the tied top block or the first two entries.  A
+    down from mu, and confirmed from :func:`h2_spectrum`'s scalars; only
+    the confirmed prefix's direction is built, in place in the result),
+    or else the tied top block or the first two entries.  A
     uniform prefix of two or more entries carries the ``uniform_sphere``
     tag, and so does the first axis on a tied top block of j >= 2 entries,
     whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
@@ -169,18 +198,34 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
     floor = min(k, max(2, j))  # the longest uniform or two-entry prefix: the walk's last stop
     if k > floor:
-        # trailing w_lo entry of each prefix in h2_spectrum's rationalized form;
-        # cumsum rounds unlike its sums, so h2_spectrum confirms each candidate
-        s1, s2 = np.cumsum(x[:k]), np.cumsum(x[:k] * x[:k])
+        # trailing w_lo entry of each prefix in h2_spectrum's rationalized
+        # form, computed block by block in place (large fresh temporaries
+        # page-fault anew on every call); cumsum rounds unlike the sums of
+        # _h2_scalars, which confirm each candidate
+        s1 = np.cumsum(x[:k])
+        s2 = np.multiply(x[:k], x[:k])
+        np.cumsum(s2, out=s2)
         top, size = k, 1024
         while top > floor:
             lo = max(floor, top - size)
-            s, m = s1[lo:top], 0.5 * rho * s2[lo:top] + np.arange(lo + 1, top + 1)
-            alpha_lo = 2.0 * rho * s * s / (m + np.sqrt(np.maximum(m * m - 2.0 * rho * s * s, 0.0)))
-            for k in map(int, np.flatnonzero(x[lo:top] - alpha_lo / (rho * s) > 0.0)[::-1] + lo + 1):
-                spec = _h2_spectrum(x[:k], rho)
-                if spec.w_lo[-1] > 0.0:
-                    w[:k] = spec.w_lo / math.sqrt(_dot(spec.w_lo, spec.w_lo))
+            s = s1[lo:top]
+            m = np.arange(lo + 1, top + 1, dtype=float)
+            m += np.multiply(s2[lo:top], 0.5 * rho, out=s2[lo:top])  # 0.5 rho s2 + i
+            q = np.multiply(s, 2.0 * rho, out=s2[lo:top])
+            q *= s  # 2 rho s^2
+            t = np.multiply(m, m)
+            t -= q
+            np.maximum(t, 0.0, out=t)
+            np.sqrt(t, out=t)
+            t += m
+            np.divide(q, t, out=t)  # alpha_lo
+            t /= np.multiply(s, rho, out=q)  # shift_lo
+            np.subtract(x[lo:top], t, out=t)
+            for k in map(int, np.flatnonzero(t > 0.0)[::-1] + lo + 1):
+                shift = _h2_scalars(x[:k], rho)[3]
+                if float(x[k - 1]) - shift > 0.0:
+                    w_lo = np.subtract(x[:k], shift, out=w[:k])
+                    w_lo /= math.sqrt(_dot(w_lo, w_lo))
                     return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
             top, size = lo, 2 * size
     k = floor

@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +112,13 @@ def full_scan_wstep_h2(x, rho):
     return WStepSolution(w_star=w, g_value=sol2.g_value), 2
 
 
+def vector_mu(x, rho):
+    """The negative-entry count of 2 - rho*x_1*x as one vector expression,
+    as ``_mu`` computed it before it bisected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return int(np.count_nonzero(2.0 - rho * x[0] * x < 0.0))
+
+
 def block_scan_cases(rng, count):
     """Sorted inputs of n = 1025..30000, past the scan's first block of 1024
     prefixes.  Near-uniform heads 1 + u*s at rho = 2/(x_1 x_m) put each
@@ -129,6 +138,18 @@ def block_scan_cases(rng, count):
         s = 10.0 ** rng.uniform(-12.0, -2.0) if kind == "near_uniform" else rng.uniform(1e-12, 4e-12)
         x = np.sort(1.0 + rng.random(n) * s)[::-1].copy()
         yield kind, x, 2.0 / (x[0] * x[int(rng.integers(1, n))])
+
+
+def assert_matches_full_scan(x, rho, kind):
+    """wstep_h2 and full_scan_wstep_h2 agree on k, w_star bytes, g_value
+    and the family; returns k."""
+    sol, k = wstep_h2(x, rho)
+    ref, k_ref = full_scan_wstep_h2(x, rho)
+    assert k == k_ref, (kind, x.size, rho)
+    assert sol.w_star.tobytes() == ref.w_star.tobytes(), (kind, x.size, rho)
+    assert repr(sol.g_value) == repr(ref.g_value)
+    assert (sol.family, repr(sol.family_gap)) == (ref.family, repr(ref.family_gap))
+    return k
 
 
 class TestSpectrum:
@@ -195,6 +216,33 @@ class TestMu:
 
     def test_prefix_count(self):
         assert mu(np.array([3.0, 1.0, 0.1]), 1.0) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x, rho, count",
+        [
+            ([2.0, 1.0, 1.0, 0.5], 1.0, 1),
+            ([1e300, 1e10, 0.0, 0.0], 1e10, 2),
+            ([1e300, 1e-300, 0.0, -0.0], 1e10, 2),
+            ([1e10, 5e-324, 5e-324, -0.0], 1e300, 3),
+            ([1.0, 5e-324, -0.0, 0.0], 1e308, 1),
+            ([3.0], 1.0, 1),
+            ([1.0], 1.0, 0),
+            ([3.0, 2.0, 2.0], 1.0, 3),
+        ],
+        ids=["product-exactly-2", "inf-over-zeros", "inf-over-tiny", "inf-over-subnormal", "subnormal", "n1", "n1-none", "all"],
+    )
+    def test_bisection_matches_count(self, x, rho, count):
+        # c*x_i == 2 is not counted; an overflowing c = rho*x_1 counts every
+        # positive entry and no zero (inf*0 is NaN), without a warning
+        x = np.array(x)
+        assert _mu(x, rho) == vector_mu(x, rho) == count
+
+    @pytest.mark.filterwarnings("error")
+    def test_bisection_matches_count_on_scan_corpus(self):
+        rng = np.random.default_rng(58)
+        for kind, x, rho in scan_cases(rng, 2100):
+            assert _mu(x, rho) == vector_mu(x, rho), (kind, x.size, rho)
 
 
 class TestUniformProx:
@@ -311,12 +359,7 @@ class TestDirectionSolver:
         rng = np.random.default_rng(60)
         seen = dict.fromkeys(("second_block", "third_block", "floor", "tied_top", "not_prefix"), 0)
         for kind, x, rho in block_scan_cases(rng, 300):
-            sol, k = wstep_h2(x, rho)
-            ref, k_ref = full_scan_wstep_h2(x, rho)
-            assert k == k_ref, (kind, x.size, rho)
-            assert sol.w_star.tobytes() == ref.w_star.tobytes(), (kind, x.size, rho)
-            assert repr(sol.g_value) == repr(ref.g_value)
-            assert (sol.family, repr(sol.family_gap)) == (ref.family, repr(ref.family_gap))
+            k = assert_matches_full_scan(x, rho, kind)
             top = _mu(x, rho)
             j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))
             seen["second_block"] += top - 3072 < k <= top - 1024
@@ -330,6 +373,16 @@ class TestDirectionSolver:
             mask = head - alpha_lo / (rho * s1) > 0.0
             seen["not_prefix"] += not mask[: np.count_nonzero(mask)].all()
         assert min(seen.values()) >= 5, seen
+
+    def test_block_walk_many_failed_confirmations(self):
+        # the corpus input above whose walk confirms the most candidates:
+        # 1,299 trailing entries pass the block test at or above k = 8821,
+        # and each needs its exact sums over its prefix before all but the
+        # last fail, so the walk stays quadratic on such near-uniform heads
+        cases = block_scan_cases(np.random.default_rng(60), 300)
+        kind, x, rho = next(itertools.islice(cases, 81, None))
+        assert (kind, x.size, _mu(x, rho)) == ("near_uniform", 14564, 11545)
+        assert assert_matches_full_scan(x, rho, kind) == 8821
 
 
 class TestProx:
@@ -436,6 +489,33 @@ class TestProx:
                 prox_h2(x, rho)
             best = min(best, time.perf_counter() - t0)
         assert best < 0.2, f"n=20000 prox_h2 at rho=1 and 3 took {best:.3f}s"
+
+    @pytest.mark.parametrize("rho", [1.0, 3.0])
+    def test_large_dimension_silent(self, rho):
+        x = np.random.default_rng(59).standard_normal(20000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prox_h2(x, rho)
+
+    @pytest.mark.parametrize(
+        "x, rho, message, most",
+        [
+            (np.array([3.0, 2.0, 1.0]) * 1e160, 1.0, "w_star is not finite", 4),
+            (np.array([3.0, 2.0, 1.0]) * 1e160, 1e-300, "sum or squared norm is not finite", 2),
+            (np.array([3.0, 2.0, 1.0]) * 1e160, 1e-310, "sum or squared norm is not finite", 2),
+            (np.array([1e200, 1.0, 0.5]), 1.0, "decision gap or F\\(0\\) is not finite", 4),
+            (np.linspace(1.0, 2.0, 2000) * 1e154, 1.0, "w_star is not finite", 6),
+        ],
+        ids=["3e160-rho1", "3e160-rho1e-300", "3e160-rho1e-310", "1e200", "linspace-1e154"],
+    )
+    def test_out_of_range_message_and_warnings(self, x, rho, message, most):
+        # one ValueError per input, after no more numpy RuntimeWarnings than
+        # the scalar confirmation and the bisected mu leave on the way there
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input magnitude out of range: " + message):
+                prox_h2(x, rho)
+        assert len([w for w in seen if issubclass(w.category, RuntimeWarning)]) <= most
 
     @pytest.mark.parametrize(
         "x, rho",
