@@ -142,19 +142,16 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
     Past ``_STABLE_SORT_MAX`` entries, one sort of unique 64-bit keys:
     bits(max a) - bits(a), ordered like -a, over the index in the low b bits,
     less the ``shift`` lowest bits that do not fit.  Distinct magnitudes with
-    equal kept bits then come out in index order; only if that is out of
-    order, one more sort, by (run of kept bits, dropped bits, index), repairs it.
+    equal kept bits then come out in index order; if that is out of order,
+    the stable sort stands in.
     """
     n = a.size
     if n <= _STABLE_SORT_MAX:
         return np.argsort(-a, kind="stable")
     bits = a.view(np.uint64)
     top = bits.max()
-    span = int(top - bits.min())
-    if span == 0:  # all equal
-        return np.arange(n)
     b = (n - 1).bit_length()
-    shift = max(0, span.bit_length() + b - 64)
+    shift = max(0, int(top - bits.min()).bit_length() + b - 64)
     low = np.uint64((1 << b) - 1)
     keys = top - bits  # in place below: fresh temporaries cost more than the passes
     keys <<= b - shift
@@ -165,12 +162,7 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
     s = a[order]
     if bool(np.all(s[:-1] >= s[1:])):
         return order
-    run = np.cumsum(np.r_[False, (keys[1:] ^ keys[:-1]) > low], dtype=np.uint64)
-    if int(run[-1]).bit_length() + b + shift > 64:  # no room for the repair keys
-        return np.argsort(-a, kind="stable")
-    keys = run << b + shift | ((top - s.view(np.uint64)) & (1 << shift) - 1) << b | keys & low
-    keys.sort()
-    return (keys & low).view(np.int64)
+    return np.argsort(-a, kind="stable")
 
 
 def normalize(x) -> tuple[np.ndarray, SignedPermutation]:

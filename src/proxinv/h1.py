@@ -206,12 +206,20 @@ def prox_h1_r2(x_sorted, rho: float, tol: Tolerances | None = None) -> ProxSet:
 
 
 def prox_h1_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = None) -> ProxSet:
-    """Prox at a uniform point: threshold sqrt(2/(rho*sqrt(n))) on the level."""
+    """Prox at a uniform point: threshold sqrt(2/(rho*sqrt(n))) on the level.
+
+    A unit w >= 0 has the gap s - (rho alpha^2/2) s^2, s = ||w||_1 in [1, sqrt(n)],
+    least at an end: the first axis (point alpha*e1) or the diagonal (alpha*e).
+    The decision step takes the lesser gap with its point.  The axis's gap is
+    the lesser only above 0.58, so it ties only at a large ``tie_tol``.
+    """
     alpha, n, rho, tol = _uniform_args(alpha, n, rho, tol)
     f_zero = 0.5 * rho * alpha * alpha * n
     g_diag = math.sqrt(n) - f_zero
     g_axis = 1.0 - 0.5 * rho * alpha * alpha
-    return decision_step(g_diag, f_zero, np.full(n, alpha), tol, zero_gap=min(g_diag, g_axis))
+    if g_axis < g_diag:
+        return decision_step(g_axis, f_zero, np.r_[alpha, np.zeros(n - 1)], tol)
+    return decision_step(g_diag, f_zero, np.full(n, alpha), tol)
 
 
 def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> ProxSet:
@@ -557,10 +565,13 @@ def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
     relaxation of the direction problem.
 
     The multiplier shift q = lambda - rho*||x||^2 is the unique positive
-    root of a quartic (its coefficient signs change exactly once), found by
-    doubling to bracket, bisection, and a short Newton polish.  Every entry
-    of the returned unit direction is negative, which is why the full-sphere
-    relaxation cannot solve the nonnegative direction problem.
+    root of a quartic f (its coefficient signs change exactly once), found by
+    bisection on [0, sqrt(n)], where f(0) = c0 < 0 <= f(sqrt(n)) =
+    (n s2 - s1^2)(2 rho sqrt(n) + rho^2 s2) by Cauchy-Schwarz, and a short
+    Newton polish.  Every entry of the returned unit direction is negative,
+    which is why the full-sphere relaxation cannot solve the nonnegative
+    direction problem.  A quartic coefficient that is not finite raises
+    ``ValueError`` (input magnitude out of range).
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -574,6 +585,8 @@ def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
     c2 = rho * rho * s2 * s2 - n
     c1 = -2.0 * rho * s1 * s1
     c0 = -rho * rho * s1 * s1 * s2
+    if not all(map(math.isfinite, (c3, c2, c1, c0))):
+        raise ValueError("input magnitude out of range: a quartic coefficient is not finite")
 
     def quartic(q: float) -> float:
         return (((q + c3) * q + c2) * q + c1) * q + c0
@@ -581,12 +594,7 @@ def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
     def quartic_prime(q: float) -> float:
         return ((4.0 * q + 3.0 * c3) * q + 2.0 * c2) * q + c1
 
-    hi = 1.0
-    for _ in range(200):
-        if quartic(hi) > 0.0:
-            break
-        hi *= 2.0
-    lo = 0.0
+    lo, hi = 0.0, math.sqrt(n)
     while hi - lo > _ROOT_TOL * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         if quartic(mid) < 0.0:

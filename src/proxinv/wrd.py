@@ -75,17 +75,16 @@ def decision_step(
     point: np.ndarray,
     tol: Tolerances,
     family: str | None = None,
-    zero_gap: float | None = None,
     ties: list | tuple = (),
 ) -> ProxSet:
     """Keep the origin, ``point``, or both, from the sign of the gap F(point) - F(0).
 
     A tie within :func:`is_tie` keeps both, a negative gap keeps ``point``
-    and a positive gap the origin, reported with ``zero_gap`` when given
-    (else the gap itself).  ``family`` is reported only on a tie, so callers
-    pass the family ``point`` stands for and leave the tie test to this rule.
-    ``ties`` are further points whose gap ties with ``g_value``; they are
-    members wherever ``point`` is.
+    and a positive gap the origin, each reported with the gap.  Callers pass
+    the least gap they know and its point.  ``family`` is reported only on
+    a tie, so callers pass the family ``point`` stands for and leave the tie
+    test to this rule.  ``ties`` are further points whose gap ties with
+    ``g_value``; they are members wherever ``point`` is.
     Raises ``ValueError`` when ``g_value`` or ``f_zero`` is not finite
     (the input magnitude is out of range).
     """
@@ -94,8 +93,7 @@ def decision_step(
         return ProxSet(True, [point, *ties], family=family, g_value=g)
     if g < 0.0:
         return ProxSet(False, [point, *ties], g_value=g)
-    g_zero = g if zero_gap is None else zero_gap
-    return ProxSet(True, [], g_value=g_zero)
+    return ProxSet(True, [], g_value=g)
 
 
 def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | None = None) -> ProxSet:

@@ -215,7 +215,7 @@ class TestNormalize:
         # magnitudes a few ulps to a few million ulps apart: alone they span
         # few bits and the sort keys hold them whole; with zeros among them
         # the keys drop low bits, such magnitudes share their kept bits, and
-        # they take the repair
+        # the stable sort stands in
         narrow = (1.0 + rng.random(n) * 10.0 ** rng.uniform(-13.0, -6.0)) * rng.choice([-1.0, 1.0], n)
         narrow_zeros = narrow.copy()
         narrow_zeros[rng.choice(n, max(1, n // 10), replace=False)] = rng.choice([0.0, -0.0], max(1, n // 10))
@@ -251,10 +251,10 @@ class TestNormalize:
             assert xs.tobytes() == (signs * picked).tobytes(), kind
 
     def test_matches_stable_argsort_past_repair_keys(self):
-        # 2**21 + 2 runs of sort keys: distinct magnitudes 2**22 ulps apart
-        # in [2, 4), one zero, and one pair 1 ulp apart in the wrong index
-        # order.  The repair keys would need 65 bits, so the stable sort
-        # stands in
+        # distinct magnitudes 2**22 ulps apart in [2, 4), one zero, and one
+        # pair 1 ulp apart in the wrong index order: the zero makes the
+        # packed keys drop the low bits that tell the pair apart, so its
+        # keys collide out of order, and the stable sort stands in
         rng = np.random.default_rng(21)
         n = 2**21 + 3
         x = 2.0 + rng.permutation(n) * 2.0**-29

@@ -6,7 +6,10 @@ import pytest
 
 import proxinv.h1
 from proxinv import (
+    DEFAULT_TOLERANCES,
     L_eval,
+    ProxSet,
+    Tolerances,
     brute_prox,
     classify_r2,
     curves_intersection_kappa,
@@ -26,7 +29,7 @@ from proxinv import (
 from proxinv.core import _dot, _objective_G_h1
 from proxinv.h1 import _N2_FLOOR, _ROOT_TOL, _newton_root, _peak, _piece, _wstep_h1
 from proxinv.wrd import WStepSolution
-from helpers import best_f, candidates, f_value, sorted_desc
+from helpers import assert_sets_close, best_f, candidates, f_value, sorted_desc
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,6 +74,49 @@ class TestUniformAndAxis:
             assert len(ps.points) == len(ax.points)
             for p, q in zip(ps.points, ax.points):
                 assert np.array_equal(p, [0.0, -q[0], 0.0])
+
+    @pytest.mark.parametrize("tie_tol", [0.5, 0.9])
+    @pytest.mark.parametrize("head", [np.full(2, math.sqrt(0.1)), np.full(100, math.sqrt(0.06))])
+    def test_uniform_head_matches_a_near_uniform_one(self, head, tie_tol):
+        # the first axis's gap (0.95 and 0.97 here) is the least, and it ties
+        # at both tolerances on the long head and at 0.9 on the pair; the
+        # uniform closed form must find it, as the direction step does once
+        # one entry is 1e-9 lower
+        tol = Tolerances(tie_tol)
+        lower = head.copy()
+        lower[-1] -= 1e-9
+        ps, near = prox_h1(head, 1.0, tol), prox_h1(lower, 1.0, tol)
+        assert_sets_close(ps, near)
+        assert ps.g_value == pytest.approx(near.g_value, abs=1e-8)
+
+    def test_default_tolerance_matches_diagonal_rule(self):
+        # the rule this form replaced: decide on the diagonal's gap, and
+        # report the lesser of the two gaps when the origin alone is kept
+        def diagonal_rule(alpha, n, rho):
+            f_zero = 0.5 * rho * alpha * alpha * n
+            g_diag = math.sqrt(n) - f_zero
+            g_axis = 1.0 - 0.5 * rho * alpha * alpha
+            if abs(g_diag) <= DEFAULT_TOLERANCES.tie_tol * (1.0 + abs(f_zero)):
+                return ProxSet(True, [np.full(n, alpha)], g_value=g_diag)
+            if g_diag < 0.0:
+                return ProxSet(False, [np.full(n, alpha)], g_value=g_diag)
+            return ProxSet(True, [], g_value=min(g_diag, g_axis))
+
+        rng = np.random.default_rng(81)
+        for i in range(4000):
+            n = int(rng.integers(1, 201))
+            rho = 10.0 ** rng.uniform(-3.0, 3.0)
+            threshold = math.sqrt(2.0 / (rho * math.sqrt(n)))
+            # half of the draws within 1e-9 of the threshold, some exactly on it
+            spread = 1e-9 if i % 2 else 1.0
+            alpha = threshold * math.exp(rng.uniform(-spread, spread)) if i % 50 else threshold
+            got, want = prox_h1_uniform(alpha, n, rho), diagonal_rule(alpha, n, rho)
+            assert (got.contains_zero, got.family, repr(got.g_value)) == (
+                want.contains_zero,
+                want.family,
+                repr(want.g_value),
+            ), (alpha, n, rho)
+            assert [p.tobytes() for p in got.points] == [p.tobytes() for p in want.points]
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_non_finite_level_rejected(self, alpha):
@@ -739,6 +785,21 @@ class TestSphereRelaxationDiagnostic:
             assert abs(residual) <= 1e-9
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
             assert np.all(w < 0.0)
+
+    @pytest.mark.parametrize("x", [[1e200, 1.0], [1e80, 1.0]])
+    def test_overflow_rejected(self, x):
+        # ||x||^2 overflows at 1e200 and its square in the quartic at 1e80:
+        # an infinite multiplier or a w of norm 2e12 would come back
+        with pytest.raises(ValueError, match="input magnitude out of range"):
+            sphere_qp_lambda(x, 1.0)
+
+    def test_tiny_input(self):
+        # ||x||^2 underflows to 0, so the quartic is q^2 (q^2 - n) with the
+        # root sqrt(n), at the end of the bracket
+        lam, w = sphere_qp_lambda([1e-200, 1e-201], 1.0)
+        assert lam == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert np.all(w < 0.0)
 
 
 class TestCurveIntersection:
