@@ -75,7 +75,7 @@ def descending_vector(x) -> np.ndarray:
     taken here.
     """
     v = _validated(x)[0]
-    if v[-1] < 0.0 or bool(np.any(v[:-1] < v[1:])):
+    if v[-1] < 0.0 or np.count_nonzero(v[:-1] < v[1:]):
         raise ValueError("expected entries sorted in descending nonnegative order")
     return v
 

@@ -579,7 +579,8 @@ def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
         raise ValueError("zero vector")
     n = x.size
     s1 = float(x.sum())
-    s2 = float(x @ x)
+    with np.errstate(over="ignore"):  # an infinite s2 is rejected below
+        s2 = float(x @ x)
 
     c3 = 2.0 * rho * s2
     c2 = rho * rho * s2 * s2 - n

@@ -4,8 +4,10 @@ The direction problem is a quadratic form built from a rank-2 matrix
 (2*e*e^T - rho*x*x^T).  Its negative-eigenvalue eigenvector has a closed
 form; when the eigenvector leaves the nonnegative cone the trailing
 coordinate of the optimal direction is provably zero, so one prefix-sum scan
-over prefix lengths picks the prefix the direction lives on.  The matrix is
-never materialized: all products use the rank-2 structure.
+over prefix lengths picks the prefix the direction lives on.  The scan
+reads each prefix's trailing entry from sums of squares, (sqrt(rho/2) x - 1)^2,
+in which no large terms cancel, and the gap from the same sums.  The matrix
+is never materialized: all products use the rank-2 structure.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class H2Spectrum:
 
 
 def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
-    """Closed-form eigenpairs of 2*e*e^T - rho*x*x^T for non-uniform sorted x.
+    """Closed-form eigenpairs of 2*e*e^T - rho*x*x^T for non-uniform sorted x,
+    from the cancellation-free sums of :func:`_factored`.
 
     Raises ``ValueError`` when the sum or the squared norm of x is not finite
     (input magnitude out of range).  An infinite ``delta`` alone is kept:
@@ -61,45 +64,33 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
     x = descending_vector(x_sorted)
     if uniform_value(x) is not None:
         raise ValueError("spectrum degenerates for multiples of the all-ones vector")
-    return _h2_spectrum(x, rho)
-
-
-def _h2_spectrum(x: np.ndarray, rho: float) -> H2Spectrum:
-    """:func:`h2_spectrum` on a trusted sorted, non-uniform ``x``."""
-    n = x.size
-    delta, alpha_lo, alpha_hi, shift_lo, shift_hi = _h2_scalars(x, rho)
+    if not (math.isfinite(float(x.sum())) and math.isfinite(_dot(x, x))):
+        raise ValueError("input magnitude out of range: sum or squared norm is not finite")
+    r = math.sqrt(0.5 * rho)
+    s, d, alpha_hi = _factored(x, r)
+    # rationalized form: alpha_lo * alpha_hi = 2 rho s^2
+    alpha_lo = 2.0 * rho * s * s / alpha_hi
     return H2Spectrum(
-        delta=delta,
+        delta=d * (d + 4.0 * r * s),
         alpha_lo=alpha_lo,
         alpha_hi=alpha_hi,
-        lambda_neg=2.0 * n - alpha_hi,
-        lambda_pos=2.0 * n - alpha_lo,
-        w_lo=x - shift_lo,
-        w_hi=x - shift_hi,
+        lambda_neg=2.0 * x.size - alpha_hi,
+        lambda_pos=2.0 * x.size - alpha_lo,
+        w_lo=x - 2.0 * s / alpha_hi,
+        w_hi=x - alpha_hi / (rho * s),
     )
 
 
-def _h2_scalars(x: np.ndarray, rho: float) -> tuple[float, float, float, float, float]:
-    """The scalars of :func:`h2_spectrum` on a trusted sorted ``x``:
-    ``delta``, ``alpha_lo``, ``alpha_hi`` and the shifts with
-    ``w_lo = x - shift_lo`` and ``w_hi = x - shift_hi``.  Two reductions
-    over x and no array, so :func:`wstep_h2` can test a prefix's trailing
-    ``w_lo`` entry without building the eigenvectors.
-
-    Raises ``ValueError`` when the sum or the squared norm of x is not finite.
-    """
-    n = x.size
-    s1 = float(x.sum())
-    s2 = _dot(x, x)
-    if not (math.isfinite(s1) and math.isfinite(s2)):
-        raise ValueError("input magnitude out of range: sum or squared norm is not finite")
-    m = 0.5 * rho * s2 + n
-    delta = max(m * m - 2.0 * rho * s1 * s1, 0.0)
-    alpha_hi = m + np.sqrt(delta)
-    # rationalized form; the direct difference m - sqrt(delta) cancels badly
-    # when delta approaches its lower bound
-    alpha_lo = 2.0 * rho * s1 * s1 / alpha_hi
-    return delta, alpha_lo, alpha_hi, alpha_lo / (rho * s1), alpha_hi / (rho * s1)
+def _factored(x: np.ndarray, r: float, out: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Pairwise sums s of x and D of (r x - 1)^2 (formed in ``out``), with
+    r = sqrt(rho/2), and alpha_hi = D + 2 r s + sqrt(delta).  The
+    discriminant m^2 - 2 rho s^2 (m = rho/2 ||x||^2 + n) factors as
+    delta = D (D + 4 r s), with no large terms to cancel; its root
+    sqrt(D) sqrt(D + 4 r s) is finite wherever D is."""
+    y = np.multiply(x, r, out=out)
+    y -= 1.0
+    s, d = float(x.sum()), _dot(y, y)
+    return s, d, d + 2.0 * r * s + math.sqrt(d) * math.sqrt(d + 4.0 * r * s)
 
 
 def mu(x_sorted, rho: float) -> int:
@@ -173,15 +164,18 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     the direction matrix is entirely nonnegative the first axis is optimal;
     otherwise the prefix is the longest one, up to the negative-entry count
     mu, that keeps the trailing entry of its negative-eigenvalue direction
-    positive (read off prefix sums, in blocks of 1024, 2048, ... prefixes
-    down from mu, and confirmed from :func:`h2_spectrum`'s scalars; only
-    the confirmed prefix's direction is built, in place in the result),
-    or else the tied top block or the first two entries.  A
-    uniform prefix of two or more entries carries the ``uniform_sphere``
+    positive, or else the tied top block or the first two entries.  With
+    the prefix sums s of x and D of (sqrt(rho/2) x - 1)^2, that entry is
+    positive when x_k (D + sqrt(delta)) + 2 s (sqrt(rho/2) x_k - 1) > 0
+    (:func:`h2_spectrum`'s factored delta): no large terms cancel, also on
+    near-uniform heads.  The test runs in blocks of 1024, 2048, ... prefixes
+    down from mu; only the picked prefix's direction x - 2 s/alpha_hi is
+    built, in place in the result, with the gap k - alpha_hi/2.  A uniform
+    prefix of two or more entries carries the ``uniform_sphere``
     tag, and so does the first axis on a tied top block of j >= 2 entries,
     whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
-    The input is validated here once; the scan below runs the trusted
-    kernels of :func:`mu`, :func:`h2_spectrum` and :func:`wstep_h2_r2`.
+    The input is validated here once; the scan runs the trusted kernels of
+    :func:`mu` and :func:`wstep_h2_r2`.
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -198,35 +192,39 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
     floor = min(k, max(2, j))  # the longest uniform or two-entry prefix: the walk's last stop
     if k > floor:
-        # trailing w_lo entry of each prefix in h2_spectrum's rationalized
-        # form, computed block by block in place (large fresh temporaries
-        # page-fault anew on every call); cumsum rounds unlike the sums of
-        # _h2_scalars, which confirm each candidate
-        s1 = np.cumsum(x[:k])
-        s2 = np.multiply(x[:k], x[:k])
-        np.cumsum(s2, out=s2)
-        top, size = k, 1024
+        r = math.sqrt(0.5 * rho)
+        s = np.cumsum(x[:k])
+        d = np.multiply(x[:k], r)
+        d -= 1.0
+        d *= d
+        np.cumsum(d, out=d)
+        # an infinite D overflows F(0) with it, and the decision step rejects the input
+        top, size = (k, 1024) if math.isfinite(d[-1]) else (floor, 0)
         while top > floor:
+            # the trailing test on temporaries of the block's length
             lo = max(floor, top - size)
-            s = s1[lo:top]
-            m = np.arange(lo + 1, top + 1, dtype=float)
-            m += np.multiply(s2[lo:top], 0.5 * rho, out=s2[lo:top])  # 0.5 rho s2 + i
-            q = np.multiply(s, 2.0 * rho, out=s2[lo:top])
-            q *= s  # 2 rho s^2
-            t = np.multiply(m, m)
-            t -= q
-            np.maximum(t, 0.0, out=t)
+            sd = np.sqrt(d[lo:top])
+            t = np.multiply(s[lo:top], 4.0 * r)
+            t += d[lo:top]
             np.sqrt(t, out=t)
-            t += m
-            np.divide(q, t, out=t)  # alpha_lo
-            t /= np.multiply(s, rho, out=q)  # shift_lo
-            np.subtract(x[lo:top], t, out=t)
-            for k in map(int, np.flatnonzero(t > 0.0)[::-1] + lo + 1):
-                shift = _h2_scalars(x[:k], rho)[3]
-                if float(x[k - 1]) - shift > 0.0:
-                    w_lo = np.subtract(x[:k], shift, out=w[:k])
-                    w_lo /= math.sqrt(_dot(w_lo, w_lo))
-                    return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho)), k
+            t += sd
+            t *= sd
+            t *= x[lo:top]
+            y = np.multiply(x[lo:top], 2.0 * r, out=sd)
+            y -= 2.0
+            y *= s[lo:top]
+            t += y
+            hits = np.flatnonzero(t > 0.0)
+            if hits.size:
+                # the gap from the prefix's own pairwise sums: cumsum rounding grows with k
+                k = lo + int(hits[-1]) + 1
+                sk, _, alpha_hi = _factored(x[:k], r, out=w[:k])
+                w_lo = np.subtract(x[:k], 2.0 * sk / alpha_hi, out=w[:k])
+                norm2 = _dot(w_lo, w_lo)
+                if not (math.isfinite(sk) and math.isfinite(norm2)):
+                    raise ValueError("input magnitude out of range: sum or squared norm is not finite")
+                w_lo /= math.sqrt(norm2)
+                return WStepSolution(w_star=w, g_value=k - 0.5 * alpha_hi), k
             top, size = lo, 2 * size
     k = floor
     head = x[:k]
