@@ -550,14 +550,12 @@ def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
 def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     """Set-valued prox of the l1/l2 ratio at an arbitrary point.
 
-    :func:`~proxinv.wrd.prox` with :func:`prox_h1_uniform` and a w-step of
-    :func:`wstep_h1_r2` on a two-entry head, and on a longer one the trusted
-    :func:`_wstep_h1`, since the driver has validated the head already.
+    :func:`~proxinv.wrd.prox` with :func:`prox_h1_uniform`, :func:`wstep_h1_r2`
+    on the two-entry heads the driver splits off, and on longer ones the
+    trusted :func:`_wstep_h1`, since the driver has validated the head already.
     Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
     """
-    return prox(
-        x, rho, tol, lambda h, r: (wstep_h1_r2 if h.size == 2 else _wstep_h1)(h, r), prox_h1_uniform
-    )
+    return prox(x, rho, tol, wstep_h1_r2, _wstep_h1, prox_h1_uniform)
 
 
 def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:

@@ -141,11 +141,7 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     """Closed-form planar direction: an arctangent angle when the cross term
     is active, the first axis otherwise."""
     rho = _positive_rho(rho)
-    return _wstep_h2_r2(_plane_vector(x_sorted), rho)
-
-
-def _wstep_h2_r2(x: np.ndarray, rho: float) -> WStepSolution:
-    """:func:`wstep_h2_r2` on a trusted sorted plane ``x`` with x1 > x2."""
+    x = _plane_vector(x_sorted)
     x1, x2 = float(x[0]), float(x[1])
     cross = rho * x1 * x2
     if cross > 2.0:
@@ -164,18 +160,20 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     the direction matrix is entirely nonnegative the first axis is optimal;
     otherwise the prefix is the longest one, up to the negative-entry count
     mu, that keeps the trailing entry of its negative-eigenvalue direction
-    positive, or else the tied top block or the first two entries.  With
-    the prefix sums s of x and D of (sqrt(rho/2) x - 1)^2, that entry is
-    positive when x_k (D + sqrt(delta)) + 2 s (sqrt(rho/2) x_k - 1) > 0
+    positive, or else the tied top block.  With the prefix sums s of x and
+    D of (sqrt(rho/2) x - 1)^2, that entry is positive when
+    x_k (D + sqrt(delta)) + 2 s (sqrt(rho/2) x_k - 1) > 0
     (:func:`h2_spectrum`'s factored delta): no large terms cancel, also on
-    near-uniform heads.  The test runs in blocks of 1024, 2048, ... prefixes
-    down from mu; only the picked prefix's direction x - 2 s/alpha_hi is
-    built, in place in the result, with the gap k - alpha_hi/2.  A uniform
-    prefix of two or more entries carries the ``uniform_sphere``
-    tag, and so does the first axis on a tied top block of j >= 2 entries,
-    whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
-    The input is validated here once; the scan runs the trusted kernels of
-    :func:`mu` and :func:`wstep_h2_r2`.
+    near-uniform heads, though heads tied to within a few rounding units may
+    stop one prefix short, at an exact gap within 1e-14 tie tolerances.  An
+    untied head's walk reaches k = 2, whose direction (the arctangent of
+    :func:`wstep_h2_r2`) is positive when mu >= 2 makes 2 - rho x_1 x_2 < 0.
+    The test runs in blocks of 1024, 2048, ... prefixes down from mu; only
+    the picked prefix's direction x - 2 s/alpha_hi is built, in place in the
+    result, with the gap k - alpha_hi/2.  A uniform prefix of two or more
+    entries carries the ``uniform_sphere`` tag, and so does the first axis
+    on a tied top block of j >= 2 entries, whose unit w >= 0 have
+    G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -187,10 +185,10 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])) if tied else 1  # the tied top block
     if k == 0:
         w[0] = 1.0
-        g = _objective_G_h2(w, x, rho)
+        g = 1.0 - 0.5 * rho * float(x[0]) * float(x[0])  # G(e1), as _objective_G_h2 forms it
         family, gap = (UNIFORM_SPHERE, j * g) if j > 1 else (None, None)
         return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
-    floor = min(k, max(2, j))  # the longest uniform or two-entry prefix: the walk's last stop
+    floor = min(k, j)  # the tied top block: the walk's last stop
     if k > floor:
         r = math.sqrt(0.5 * rho)
         s = np.cumsum(x[:k])
@@ -227,17 +225,12 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
                 return WStepSolution(w_star=w, g_value=k - 0.5 * alpha_hi), k
             top, size = lo, 2 * size
     k = floor
-    head = x[:k]
-    if uniform_value(head) is not None:
-        w[:k] = 1.0 / np.sqrt(k)
-        family = UNIFORM_SPHERE if k >= 2 else None
-        return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho), family=family), k
-    sol2 = _wstep_h2_r2(head, rho)  # k == 2: every scan ends on a uniform or planar prefix
-    w[:2] = sol2.w_star
-    return WStepSolution(w_star=w, g_value=sol2.g_value), 2
+    w[:k] = 1.0 / np.sqrt(k)
+    family = UNIFORM_SPHERE if k >= 2 else None
+    return WStepSolution(w_star=w, g_value=_objective_G_h2(w[:k], x[:k], rho), family=family), k
 
 
 def prox_h2(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
-    """Set-valued prox of the squared l1/l2 ratio: :func:`~proxinv.wrd.prox`
-    with :func:`wstep_h2` and :func:`prox_h2_uniform`, as :func:`prox_h1`."""
-    return prox(x, rho, tol, lambda h, r: wstep_h2(h, r)[0], prox_h2_uniform)
+    """Set-valued prox of the squared l1/l2 ratio: :func:`~proxinv.wrd.prox` with
+    :func:`wstep_h2_r2`, :func:`wstep_h2` and :func:`prox_h2_uniform`, as :func:`prox_h1`."""
+    return prox(x, rho, tol, wstep_h2_r2, lambda h, r: wstep_h2(h, r)[0], prox_h2_uniform)

@@ -44,18 +44,18 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     # gap rule "1 - s < -tie*(1 + s)" (keep) and "|1 - s| <= tie*(1 + s)"
     # (tie) become plain thresholds on x_i^2
     tie = tol.tie_tol
-    c = v * v
-    c_hi = (2.0 / rho) * (1.0 + tie) / (1.0 - tie)
-    c_lo = (2.0 / rho) * (1.0 - tie) / (1.0 + tie)
-    keep = c > c_hi
-
-    base = v * keep
-    n_keep = int(np.count_nonzero(keep))
-    kept_any = n_keep > 0
-    if kept_any:
-        g_value = n_keep - 0.5 * rho * float((c * keep).sum())
-    else:
-        g_value = 1.0 - 0.5 * rho * float(c.max())
+    with np.errstate(over="ignore"):  # a non-finite g_value is rejected below
+        c = v * v
+        c_hi = (2.0 / rho) * (1.0 + tie) / (1.0 - tie)
+        c_lo = (2.0 / rho) * (1.0 - tie) / (1.0 + tie)
+        keep = c > c_hi
+        base = v * keep
+        n_keep = int(np.count_nonzero(keep))
+        kept_any = n_keep > 0
+        if kept_any:
+            g_value = n_keep - 0.5 * rho * float((c * keep).sum())
+        else:
+            g_value = 1.0 - 0.5 * rho * float(c.max())
     # an infinite square is kept under a finite threshold (and is the max
     # under an infinite one), so g_value is infinite whenever a square is;
     # an infinite threshold alone keeps no entry and ties none, so {0} stands

@@ -110,7 +110,8 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     tol = tol or DEFAULT_TOLERANCES
     rho = _positive_rho(rho)
     x = np.asarray(x_sorted, dtype=float)
-    f_zero = 0.5 * rho * _dot(x, x)
+    with np.errstate(over="ignore"):  # an infinite F(0) is rejected by the decision step
+        f_zero = 0.5 * rho * _dot(x, x)
     point = _member(sol.w_star, x)
     ties = [_member(v, x) for v, g in sol.rivals if is_tie(g - sol.g_value, f_zero, tol)]
     family = sol.family if sol.family_gap is None or is_tie(sol.family_gap, f_zero, tol) else None
@@ -136,10 +137,11 @@ def _member(w, x: np.ndarray) -> np.ndarray:
     return max(r, 0.0) * w
 
 
-def prox(x, rho: float, tol: Tolerances | None, wstep, uniform) -> ProxSet:
+def prox(x, rho: float, tol: Tolerances | None, planar, wstep, uniform) -> ProxSet:
     """Prox of a ratio penalty on the m nonzero entries of the sorted ``x``: {0}
     for m = 0, ``uniform(alpha, m, rho, tol)`` on a head uniform at alpha, else
-    :func:`wrd_assemble` on ``wstep(head, rho)``; ``perm.invert`` restores x's frame."""
+    :func:`wrd_assemble` on the head's direction, from ``planar(head, rho)`` when
+    m = 2 and ``wstep(head, rho)`` when m > 2; ``perm.invert`` restores x's frame."""
     rho = _positive_rho(rho)
     xs, perm = normalize(x)
     m = int(np.count_nonzero(xs))
@@ -148,7 +150,8 @@ def prox(x, rho: float, tol: Tolerances | None, wstep, uniform) -> ProxSet:
     head = xs[:m]
     if uniform_value(head) is not None:
         return uniform(head[0], m, rho, tol).map_points(perm.invert)
-    return wrd_assemble(head, rho, wstep(head, rho), tol).map_points(perm.invert)
+    # the direction is passed inline, not bound to a local, so it is freed before perm.invert
+    return wrd_assemble(head, rho, (planar if m == 2 else wstep)(head, rho), tol).map_points(perm.invert)
 
 
 def _uniform_args(alpha, n, rho: float, tol: Tolerances | None) -> tuple:

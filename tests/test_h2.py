@@ -17,11 +17,12 @@ from proxinv import (
     prox_h2,
     prox_h2_uniform,
     uniform_value,
+    wrd_assemble,
     wstep_h2,
     wstep_h2_r2,
 )
 from proxinv.core import UNIFORM_RTOL, UNIFORM_SPHERE, _dot, _objective_G_h2
-from proxinv.h2 import _mu, _wstep_h2_r2
+from proxinv.h2 import _mu
 from proxinv.wrd import WStepSolution
 from helpers import best_f, candidates, f_value, sorted_desc
 
@@ -111,7 +112,7 @@ def full_scan_wstep_h2(x, rho):
         w[:k] = 1.0 / np.sqrt(k)
         family = UNIFORM_SPHERE if k >= 2 else None
         return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho), family=family), k
-    sol2 = _wstep_h2_r2(head, rho)
+    sol2 = wstep_h2_r2(head, rho)
     w[:2] = sol2.w_star
     return WStepSolution(w_star=w, g_value=sol2.g_value), 2
 
@@ -164,7 +165,7 @@ def near_uniform_cases(rng, count):
 
 def decimal_walk(x, rho, last):
     """The reference prefix in 50-digit decimal: the longest one, up to mu
-    and above the tied top block and the first two entries, whose
+    and above the tied top block (the first axis on an untied head), whose
     negative-eigenvalue direction keeps a positive trailing entry (that
     floor when none does), with {k: (trailing entry > 0, gap k - alpha_hi/2)}
     for each prefix walked from mu down to it and to ``last``.  The sums of
@@ -172,7 +173,7 @@ def decimal_walk(x, rho, last):
     one entry at a time; the direct discriminant m^2 - 2 rho s^2 loses about
     2 log10(1 / spread) digits to cancellation, at most 24 here."""
     top = _mu(x, rho)
-    floor = min(top, max(2, int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0]))))
+    floor = min(top, int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])))
     k_ref, walk = floor, {}
     with decimal.localcontext() as ctx:
         ctx.prec = 50
@@ -446,6 +447,30 @@ class TestDirectionSolver:
         assert pinned == (7512, 7521, 8682)
         assert short <= 2
 
+    def test_two_entry_pick_matches_planar_closed_form(self):
+        # on an untied head with mu >= 2 the walk runs down to k = 2, where the
+        # exact direction is in the cone and is the planar arctangent's: the
+        # pick is the 50-digit reference's, w_star is wstep_h2_r2's within
+        # 1e-13 (1.1e-14 seen) and g_value its gap within 1e-3 tie tolerances
+        rng = np.random.default_rng(61)
+        picks = 0
+        for _ in range(10000):
+            n = int(rng.integers(3, 12))
+            x = np.sort(np.abs(rng.normal(size=n)))[::-1].copy()
+            rho = float(10.0 ** rng.uniform(-1.0, 1.5))
+            sol, k = wstep_h2(x, rho)
+            if k != 2:
+                continue
+            picks += 1
+            ref = wstep_h2_r2(x[:2], rho)
+            assert sol.family is None and not np.any(sol.w_star[2:])
+            assert np.max(np.abs(sol.w_star[:2] - ref.w_star)) <= 1e-13, (x, rho)
+            tol = effective_tie_tol(DEFAULT_TOLERANCES, 0.5 * rho * _dot(x, x))
+            assert abs(sol.g_value - ref.g_value) <= 1e-3 * tol, (x, rho)
+            k_ref, walk = decimal_walk(x, rho, k)
+            assert k_ref == 2 and abs(sol.g_value - float(walk[2][1])) <= 1e-3 * tol, (x, rho)
+        assert picks >= 500, picks
+
 
 class TestProx:
     def test_zero_input(self):
@@ -487,6 +512,24 @@ class TestProx:
             assert rho * x1 * x2 > 2.0
             assert not ps.contains_zero
             assert np.all(ps.points[0] > 0.0)
+
+    def test_two_entry_heads_take_planar_closed_form(self):
+        # the driver sends a non-uniform two-entry head, zero tail and signs
+        # included, to wstep_h2_r2: the set is wrd_assemble's on it, bit for bit
+        rng = np.random.default_rng(62)
+        for _ in range(500):
+            n = int(rng.integers(2, 6))
+            x = np.zeros(n)
+            x[rng.choice(n, 2, replace=False)] = rng.normal(size=2) * 10.0 ** rng.uniform(-1.0, 1.0)
+            rho = float(10.0 ** rng.uniform(-1.0, 1.5))
+            xs, perm = normalize(x)
+            if uniform_value(xs[:2]) is not None:
+                continue
+            ref = wrd_assemble(xs[:2], rho, wstep_h2_r2(xs[:2], rho)).map_points(perm.invert)
+            ps = prox_h2(x, rho)
+            assert (ps.contains_zero, ps.family, ps.g_value) == (ref.contains_zero, ref.family, ref.g_value)
+            assert len(ps.points) == len(ref.points)
+            assert all(np.array_equal(p, q) for p, q in zip(ps.points, ref.points))
 
     def test_closed_form_coefficient(self):
         # when the negative-eigenvalue direction stays positive the prox is
@@ -562,17 +605,18 @@ class TestProx:
     @pytest.mark.parametrize(
         "x, rho, message, most",
         [
-            (np.array([3.0, 2.0, 1.0]) * 1e160, 1.0, "w_star is not finite", 4),
+            (np.array([3.0, 2.0, 1.0]) * 1e160, 1.0, "decision gap or F\\(0\\) is not finite", 2),
             (np.array([3.0, 2.0, 1.0]) * 1e160, 1e-300, "sum or squared norm is not finite", 2),
             (np.array([3.0, 2.0, 1.0]) * 1e160, 1e-310, "sum or squared norm is not finite", 2),
             (np.array([1e200, 1.0, 0.5]), 1.0, "decision gap or F\\(0\\) is not finite", 4),
-            (np.linspace(1.0, 2.0, 2000) * 1e154, 1.0, "w_star is not finite", 6),
+            (np.linspace(1.0, 2.0, 2000) * 1e154, 1.0, "decision gap or F\\(0\\) is not finite", 2),
         ],
         ids=["3e160-rho1", "3e160-rho1e-300", "3e160-rho1e-310", "1e200", "linspace-1e154"],
     )
     def test_out_of_range_message_and_warnings(self, x, rho, message, most):
         # one ValueError per input, after no more numpy RuntimeWarnings than
-        # the scalar confirmation and the bisected mu leave on the way there
+        # the walk's block arithmetic leaves on the way there; an infinite D
+        # stops the walk at the first axis, whose infinite gap is rejected
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="input magnitude out of range: " + message):

@@ -95,6 +95,15 @@ class TestComponentwise:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="out of range"):
             prox_l0(np.array([1e200, 1.0]), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x", [np.array([3.0, 2.0, 1.0]) * 1e160, np.full(3, 1.1e154)], ids=["square", "sum"]
+    )
+    def test_overflow_raises_without_warning(self, x):
+        # a square or their sum overflows: the ValueError is the only report
+        with pytest.raises(ValueError, match="out of range"):
+            prox_l0(x, 1.0)
+
     def test_overflowing_threshold_alone_gives_origin(self):
         # 2/rho overflows, every entry is far below sqrt(2/rho), and {0} is exact
         ps = prox_l0(np.array([3.0, 2.0, 1.0]), 1e-320)
