@@ -29,12 +29,18 @@ _DOT_PIECE = 10_000
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> of 1-D arrays, from single-thread BLAS calls of at most
-    ``_DOT_PIECE`` entries (one call, so the same bits, up to that length)."""
+    """<a, b> of 1-D float arrays, from single-thread BLAS calls of at most
+    ``_DOT_PIECE`` entries (one call, so the bits of ``a @ b``, up to that
+    length).
+
+    ``np.vdot`` runs the same BLAS ddot as ``@`` but makes no floating-point
+    error check: an overflow returns ``inf`` without a ``RuntimeWarning``, so
+    callers test the result for finiteness themselves.
+    """
     if a.size <= _DOT_PIECE:
-        return float(a @ b)
+        return float(np.vdot(a, b))
     pieces = range(0, a.size, _DOT_PIECE)
-    return sum(float(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE]) for i in pieces)
+    return sum(float(np.vdot(a[i : i + _DOT_PIECE], b[i : i + _DOT_PIECE])) for i in pieces)
 
 
 #: entry types of an object array that a float cast truncates or rejects
@@ -68,12 +74,24 @@ def as_vector(x) -> np.ndarray:
     return _validated(x)[0].copy()
 
 
+#: bound on n * x_1 under which a descending nonnegative head's sum is finite
+#: (its rounding error is far below the factor 17 of headroom to the float max)
+_SUM_SAFE = 1e307
+
+
 def descending_vector(x) -> np.ndarray:
     """Validated view of ``x`` with descending nonnegative entries required.
 
     Read-only use: every operation builds fresh output arrays, so no copy is
-    taken here.
+    taken here.  A native float64 1-D array, the heads the operators pass
+    on, is certified in one pass: every adjacent pair in order under ``>=``
+    (which NaN fails), a nonnegative last entry, and n * x_1 <= 1e307, so
+    that the entries and their sum are finite.  Any other input takes the
+    full check of :func:`as_vector`, with its error types and messages.
     """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 and (n := x.size):
+        if x[-1] >= 0.0 and float(x[0]) * n <= _SUM_SAFE and np.count_nonzero(x[:-1] >= x[1:]) == n - 1:
+            return x
     v = _validated(x)[0]
     if v[-1] < 0.0 or np.count_nonzero(v[:-1] < v[1:]):
         raise ValueError("expected entries sorted in descending nonnegative order")
@@ -147,7 +165,7 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
     """
     n = a.size
     if n <= _STABLE_SORT_MAX:
-        return np.argsort(-a, kind="stable")
+        return (-a).argsort(kind="stable")
     bits = a.view(np.uint64)
     top = bits.max()
     b = (n - 1).bit_length()
@@ -162,7 +180,7 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
     s = a[order]
     if bool(np.all(s[:-1] >= s[1:])):
         return order
-    return np.argsort(-a, kind="stable")
+    return (-a).argsort(kind="stable")
 
 
 def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
@@ -178,7 +196,8 @@ def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
     order = _descending_order(a)
     picked = v[order]
     signs = _SIGNS.take(picked < 0.0)
-    return np.multiply(signs, picked, out=picked), SignedPermutation(order=order, signs=signs)
+    picked *= signs
+    return picked, SignedPermutation(order=order, signs=signs)
 
 
 def denormalize(u, perm: SignedPermutation) -> np.ndarray:
@@ -319,7 +338,7 @@ def h2_value(u) -> float:
 def uniform_value(x_sorted) -> float | None:
     """First entry if a sorted nonnegative vector is uniform, else None."""
     x = np.asarray(x_sorted, dtype=float)
-    span = float(x[0] - x[-1])
-    if span <= UNIFORM_RTOL * float(x[0]):
-        return float(x[0])
+    first = float(x[0])
+    if first - float(x[-1]) <= UNIFORM_RTOL * first:
+        return first
     return None

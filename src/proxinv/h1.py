@@ -97,9 +97,11 @@ def L_eval(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float
 
 def _L(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float:
     a = geom.alpha_angle
-    return (
-        math.sin(2.0 * theta - a) / math.cos(theta + 0.25 * math.pi)
-        + 2.0 * math.sqrt(2.0) / (rho * norm2_sq)
+    q = rho * norm2_sq
+    # where q underflows to 0 the term is +inf: the factor is positive on the
+    # whole arc, and the first axis is the planar direction
+    return math.sin(2.0 * theta - a) / math.cos(theta + 0.25 * math.pi) + (
+        2.0 * math.sqrt(2.0) / q if q else math.inf
     )
 
 
@@ -530,9 +532,11 @@ def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
     np.divide(x, x1, out=y[:m])
     # a root on the piece k >= 2 needs r y_k sqrt(A_k) > 1, and that is at
     # most rho x_2 ||x||; at or below 1/2 (a factor 2 of margin) no piece can
-    # hold one
-    live = m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
-    roots = _roots(y, rho * x1 * x1) if live else []
+    # hold one.  Where r = rho x1^2 overflows, F is +inf or NaN at every
+    # breakpoint, so no piece changes sign: the screen is skipped
+    r = rho * x1 * x1
+    live = m > 1 and r < math.inf and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
+    roots = _roots(y, r) if live else []
     # the first axis: <x, e1> = x1 and ||e1||_1 = 1 exactly
     e1 = np.zeros(m)
     e1[0] = 1.0
@@ -577,8 +581,7 @@ def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
         raise ValueError("zero vector")
     n = x.size
     s1 = float(x.sum())
-    with np.errstate(over="ignore"):  # an infinite s2 is rejected below
-        s2 = float(x @ x)
+    s2 = _dot(x, x)  # silent on overflow: an infinite s2 is rejected below
 
     c3 = 2.0 * rho * s2
     c2 = rho * rho * s2 * s2 - n

@@ -56,9 +56,10 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
     """Closed-form eigenpairs of 2*e*e^T - rho*x*x^T for non-uniform sorted x,
     from the cancellation-free sums of :func:`_factored`.
 
-    Raises ``ValueError`` when the sum or the squared norm of x is not finite
-    (input magnitude out of range).  An infinite ``delta`` alone is kept:
-    the eigenvector ``w_lo`` can still be exact there.
+    Raises ``ValueError`` when the sum or the squared norm of x is not
+    finite, or rho * sum(x) underflows to zero (input magnitude out of
+    range).  An infinite ``delta`` alone is kept: the eigenvector ``w_lo``
+    can still be exact there.
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -70,6 +71,9 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
     s, d, alpha_hi = _factored(x, r)
     # rationalized form: alpha_lo * alpha_hi = 2 rho s^2
     alpha_lo = 2.0 * rho * s * s / alpha_hi
+    rho_s = rho * s
+    if rho_s == 0.0:
+        raise ValueError("input magnitude out of range: rho * sum(x) underflows to zero")
     return H2Spectrum(
         delta=d * (d + 4.0 * r * s),
         alpha_lo=alpha_lo,
@@ -77,7 +81,7 @@ def h2_spectrum(x_sorted, rho: float) -> H2Spectrum:
         lambda_neg=2.0 * x.size - alpha_hi,
         lambda_pos=2.0 * x.size - alpha_lo,
         w_lo=x - 2.0 * s / alpha_hi,
-        w_hi=x - alpha_hi / (rho * s),
+        w_hi=x - alpha_hi / rho_s,
     )
 
 
@@ -181,21 +185,22 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         raise ValueError("zero vector has no direction")
     w = np.zeros(x.size)
     k = _mu(x, rho)
-    tied = x.size > 1 and x[0] - x[1] <= UNIFORM_RTOL * x[0]
-    j = int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])) if tied else 1  # the tied top block
+    x1 = float(x[0])
+    tied = x.size > 1 and x1 - float(x[1]) <= UNIFORM_RTOL * x1
+    j = int(np.count_nonzero(x1 - x <= UNIFORM_RTOL * x1)) if tied else 1  # the tied top block
     if k == 0:
         w[0] = 1.0
-        g = 1.0 - 0.5 * rho * float(x[0]) * float(x[0])  # G(e1), as _objective_G_h2 forms it
+        g = 1.0 - 0.5 * rho * x1 * x1  # G(e1), as _objective_G_h2 forms it
         family, gap = (UNIFORM_SPHERE, j * g) if j > 1 else (None, None)
         return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
     floor = min(k, j)  # the tied top block: the walk's last stop
     if k > floor:
         r = math.sqrt(0.5 * rho)
-        s = np.cumsum(x[:k])
-        d = np.multiply(x[:k], r)
+        s = x[:k].cumsum()
+        d = x[:k] * r
         d -= 1.0
         d *= d
-        np.cumsum(d, out=d)
+        d.cumsum(out=d)
         # an infinite D overflows F(0) with it, and the decision step rejects the input
         top, size = (k, 1024) if math.isfinite(d[-1]) else (floor, 0)
         while top > floor:
@@ -212,7 +217,7 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
             y -= 2.0
             y *= s[lo:top]
             t += y
-            hits = np.flatnonzero(t > 0.0)
+            hits = (t > 0.0).nonzero()[0]
             if hits.size:
                 # the gap from the prefix's own pairwise sums: cumsum rounding grows with k
                 k = lo + int(hits[-1]) + 1

@@ -40,6 +40,14 @@ class TestProxCommand:
         payload = json.loads(out)
         assert payload["contains_zero"] is True and payload["points"] == []
 
+    def test_h1_underflow_keeps_origin(self, capsys):
+        # rho ||x||^2 underflows in the planar factor: the origin alone
+        xs = "1.4763095254365288e-220,1.8629634518955913e-220"
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", "5.802385473390564e+118", "--x", xs])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["contains_zero"] is True and payload["points"] == []
+
     def test_malformed_vector(self, capsys):
         code, _, err = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "2", "--x", "2,oops"])
         assert code == 2
@@ -190,6 +198,14 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == ""
         assert "out of range" in err
+
+    def test_underflow_exit_2(self, capsys):
+        # rho * sum(x) underflows to zero: out of range, not a traceback
+        xs = "1.4948621633604623e-168,-3.4358367471440997e-168,3.023915939200362e-168"
+        code, out, err = run_cli(capsys, ["spectrum", "--rho", "1.5028922017406157e-249", "--x", xs])
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err and "Traceback" not in err
 
 
 class TestOracleCommand:

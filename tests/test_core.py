@@ -80,6 +80,89 @@ class TestVectors:
             as_vector(np.array([{}, 2.0], dtype=object))
 
 
+def _descending_vector_reference(x):
+    """``descending_vector`` by the full check alone: validation of any
+    input, then the order test."""
+    v = proxinv.core._validated(x)[0]
+    if v[-1] < 0.0 or np.count_nonzero(v[:-1] < v[1:]):
+        raise ValueError("expected entries sorted in descending nonnegative order")
+    return v
+
+
+class TestOnePassCheck:
+    """The one-pass check of a float64 head accepts and rejects what the full
+    check does, with the same result, error type and message."""
+
+    CASES = {
+        "list": [3.0, 2.0, 1.0],
+        "list-unsorted": [1.0, 2.0],
+        "size-1": np.array([2.0]),
+        "size-1-zero": np.array([0.0]),
+        "size-1-negative": np.array([-1.0]),
+        "empty": np.array([]),
+        "2-D": np.array([[2.0, 1.0]]),
+        "sorted": np.array([3.0, 2.0, 2.0, 0.0]),
+        "unsorted": np.array([3.0, 1.0, 2.0]),
+        "negative-last": np.array([3.0, 2.0, -1.0]),
+        "nan-first": np.array([np.nan, 2.0, 1.0]),
+        "nan-middle": np.array([3.0, np.nan, 1.0]),
+        "nan-last": np.array([3.0, 2.0, np.nan]),
+        "inf-first": np.array([np.inf, 2.0, 1.0]),
+        "minus-inf-last": np.array([3.0, 2.0, -np.inf]),
+        "minus-zero-last": np.array([3.0, 2.0, -0.0]),
+        "sum-overflows": np.array([1e308, 1e308]),
+        "sum-at-max": np.array([1e307, 1e307, 5e306]),
+        "strided": np.array([3.0, 9.0, 2.0, 9.0, 1.0])[::2],
+        "int": np.array([3, 2, 1]),
+        "float32": np.array([3.0, 2.0, 1.0], dtype=np.float32),
+        "big-endian": np.array([3.0, 2.0, 1.0], dtype=">f8"),
+        "complex": np.array([3.0 + 0j, 2.0]),
+        "object": np.array([3.0, 2, 1], dtype=object),
+        "object-complex": np.array([3.0, 1j], dtype=object),
+        "object-non-number": np.array([3.0, {}], dtype=object),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_full_check(self, name):
+        x = self.CASES[name]
+        with np.errstate(over="ignore"):  # the full check's sum of |x| may overflow
+            try:
+                want = _descending_vector_reference(x)
+            except Exception as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    descending_vector(x)
+                return
+            got = descending_vector(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert (got is x) == (want is x)  # x itself, uncopied, exactly where the full check returns it
+
+
+class TestDot:
+    PIECE = proxinv.core._DOT_PIECE
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 4097, PIECE])
+    def test_one_piece_matches_matmul(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-100, 100, size=(2, 1))
+        for u, v in ((a, b), (a, a), (a[::-1], b)):
+            assert proxinv.core._dot(u, v).hex() == float(u @ v).hex()
+
+    @pytest.mark.parametrize("n", [PIECE + 1, 2 * PIECE + 17, 3 * PIECE])
+    def test_longer_is_piecewise_matmul(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, n))
+        want = sum(float(a[i : i + self.PIECE] @ b[i : i + self.PIECE]) for i in range(0, n, self.PIECE))
+        assert proxinv.core._dot(a, b).hex() == want.hex()
+
+    def test_overflow_is_silent(self):
+        a = np.array([3.0, 2.0, 1.0]) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert proxinv.core._dot(a, a) == np.inf
+            assert proxinv.core._dot(-a, a) == -np.inf
+
+
 class TestObjectiveF:
     def test_zero_point(self):
         assert objective_F([0.0, 0.0], [3.0, 4.0], 2.0, 0.0) == pytest.approx(25.0)
@@ -536,6 +619,78 @@ class TestValidateOnce:
         for rho in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 fn(self.GOOD_X[n], rho)
+
+
+class TestMagnitudeRange:
+    """Far from unit scale every public entry point returns or raises
+    ``ValueError``; no stray exception type escapes."""
+
+    #: rho * ||x||^2 underflows in the planar factor's 2 sqrt(2)/(rho ||x||^2)
+    H1_PAIR = ([1.4763095254365288e-220, 1.8629634518955913e-220], 5.802385473390564e118)
+    #: rho * sum(x) underflows in the spectrum's w_hi = x - alpha_hi/(rho sum(x))
+    H2_TRIPLE = (
+        [1.4948621633604623e-168, -3.4358367471440997e-168, 3.023915939200362e-168],
+        1.5028922017406157e-249,
+    )
+
+    def test_h1_planar_factor_underflow_keeps_origin(self):
+        # the factor's term is +inf, so the first axis is the direction
+        # and its gap 1 - rho x1^2/2 = 1 keeps the origin alone
+        x, rho = self.H1_PAIR
+        ps = prox_h1(x, rho)
+        assert ps.contains_zero and ps.points == [] and ps.g_value == 1.0
+        assert wstep_h1_r2(normalize(x)[0], rho).w_star.tolist() == [1.0, 0.0]
+
+    def test_h2_spectrum_underflow_out_of_range(self):
+        x, rho = self.H2_TRIPLE
+        message = "input magnitude out of range: rho * sum(x) underflows to zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            h2_spectrum(normalize(x)[0], rho)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [1.0, 1e-320])
+    def test_prox_h1_overflow_is_quiet(self, rho):
+        # the screen's squared norm and rho x1^2 overflow: no warning
+        # before the decision step's error
+        message = "input magnitude out of range: decision gap or F(0) is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prox_h1(np.array([3.0, 2.0, 1.0]) * 1e160, rho)
+
+    def test_every_entry_point_returns_or_rejects(self):
+        rng = np.random.default_rng(4000)
+        for _ in range(1000):
+            n = int(rng.integers(2, 7))
+            x = rng.choice([-1.0, 1.0], n) * 10.0 ** (rng.uniform(-320, 307) + rng.uniform(-3, 0, n))
+            rho = 10.0 ** rng.uniform(-320, 307)
+            head = np.sort(np.abs(x))[::-1].copy()
+            plane = head[:2].copy()
+            calls = [
+                (proxinv.prox_l0, x, rho),
+                (prox_h1, x, rho),
+                (prox_h2, x, rho),
+                (proxinv.prox_h1_r2, plane, rho),
+                (proxinv.prox_h1_axis, head[0], rho),
+                (proxinv.prox_h1_uniform, head[0], n, rho),
+                (proxinv.prox_h2_uniform, head[0], n, rho),
+                (proxinv.wstep_l0, head, rho),
+                (wstep_h1, head, rho),
+                (wstep_h2, head, rho),
+                (wstep_h1_r2, plane, rho),
+                (wstep_h2_r2, plane, rho),
+                (h2_spectrum, head, rho),
+                (mu, head, rho),
+                (proxinv.classify_r2, plane, rho),
+                (proxinv.sphere_qp_lambda, head, rho),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for fn, *args in calls:
+                    try:
+                        fn(*args)
+                    except ValueError:
+                        pass
+                    except Exception as exc:
+                        pytest.fail(f"{fn.__name__}{tuple(args)} raised {exc!r}")
 
 
 def test_proxset_fields():

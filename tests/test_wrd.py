@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,13 +79,28 @@ def test_tied_rivals_join_the_set():
 
 def test_rejects_bad_directions():
     x = np.array([1.0, 0.5])
-    with pytest.raises(ValueError):
-        wrd_assemble(x, 1.0, WStepSolution(w_star=np.array([1.0, 1.0]), g_value=0.0))
-    w = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    with pytest.raises(ValueError):
-        wrd_assemble(x, 1.0, WStepSolution(w_star=w, g_value=0.0))
-    with pytest.raises(ValueError):
-        wrd_assemble(x, 1.0, WStepSolution(w_star=np.zeros(2), g_value=0.0))
+    out_of_range = "input magnitude out of range: w_star is not finite"
+    cases = [
+        ([1.0, 1.0], "w_star must be a unit vector"),
+        ([0.0, 0.0], "w_star must be a unit vector"),
+        (np.array([1.0, -1.0]) / np.sqrt(2.0), "w_star must be nonnegative"),
+        ([1.0, -2e-12], "w_star must be nonnegative"),  # past the -1e-12 rounding allowance
+        ([1.0, np.nan], out_of_range),
+        ([np.inf, 0.0], out_of_range),
+        ([1.0, -np.inf], out_of_range),
+    ]
+    for w, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wrd_assemble(x, 1.0, WStepSolution(w_star=np.array(w), g_value=0.0))
+
+
+def test_rounding_level_negative_entry_accepted():
+    # an entry within 1e-12 below zero is rounding in a solver, not a sign error
+    x = np.array([1.0, 0.5])
+    w = np.array([1.0, -5e-13])
+    ps = wrd_assemble(x, 1.0, WStepSolution(w_star=w, g_value=-1.0))
+    assert not ps.contains_zero
+    assert ps.points[0].tobytes() == (float(x @ w) * w).tobytes()
 
 
 def test_nan_directions_rejected():
