@@ -26,6 +26,9 @@ _NEG_ATOL = 1e-12
 #: across threads, and on a 2-vCPU VM waking the second thread cost up to a
 #: scheduler tick (about 8 ms) per dot
 _DOT_PIECE = 10_000
+#: bracket width at which the 1-D root searches stop (relative to the
+#: bracket end in :func:`sphere_qp_lambda`)
+_ROOT_TOL = 1e-12
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,6 +206,14 @@ def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
 def denormalize(u, perm: SignedPermutation) -> np.ndarray:
     """Undo :func:`normalize`: send a sorted-cone vector back to the original frame."""
     return perm.invert(as_vector(u))
+
+
+def trim_zeros(x_sorted) -> tuple[np.ndarray, int]:
+    """Split off trailing exact zeros; a prox of the prefix gets its zero
+    tail back from :meth:`SignedPermutation.invert`."""
+    x = descending_vector(x_sorted)
+    nz = int(np.count_nonzero(x))
+    return x[:nz].copy(), x.size - nz
 
 
 @dataclass(frozen=True)

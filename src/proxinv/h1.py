@@ -3,7 +3,7 @@
 The direction problem mixes a rank-1 concave quadratic with a linear term,
 so the negative-eigenvalue trick used for the squared ratio does not apply:
 the full-sphere stationary direction has all entries negative
-(:func:`sphere_qp_lambda` exposes it as a diagnostic).  Instead:
+(``oracle.sphere_qp_lambda`` exposes it as a diagnostic).  Instead:
 
 * uniform and single-axis inputs have threshold closed forms;
 * in the plane, the angular derivative of the direction objective factors
@@ -21,44 +21,34 @@ the full-sphere stationary direction has all entries negative
   the first axis (:func:`wstep_h1`).  A tied top block makes F vanish at
   the top breakpoint with the zero direction; that root never counts, and
   the top piece's real root has a closed form.
-
-Projected gradient on the relaxed unit-ball slice of the descending cone
-(:func:`pgd_wstep` with :func:`project_ball_cone`) is kept as a reference
-solver; the prox itself does not use it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    _ROOT_TOL,
     ProxSet,
     Tolerances,
     _dot,
     _objective_G_h1,
     _plane_vector,
     _positive_rho,
-    as_vector,
     descending_vector,
-    normalize,  # unused here; perfbench/tracing.TARGETS wraps h1.normalize
-    objective_G_h1,
     uniform_value,
 )
 from .wrd import WStepSolution, _uniform_args, decision_step, prox, wrd_assemble
+# unused here: perfbench/tracing.TARGETS wraps these names on h1
+from .core import normalize, trim_zeros  # noqa: F401
+from .oracle import pgd_wstep, project_ball_cone  # noqa: F401
 
 #: kappa below which the first axis is stationary for the planar problem
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
-
-_SPHERE_BRANCH_NORM = 1.0 - 1e-8
-_DICHOTOMY_BAND = 1e-6
-#: bracket width at which the 1-D root searches stop (relative to the
-#: bracket end in :func:`sphere_qp_lambda`)
-_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -232,139 +222,6 @@ def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> Pro
     return prox_h1_uniform(alpha, 1, rho, tol).map_points(lambda p: np.append(p, 0.0))
 
 
-def trim_zeros(x_sorted) -> tuple[np.ndarray, int]:
-    """Split off trailing exact zeros; a prox of the prefix gets its zero
-    tail back from :meth:`SignedPermutation.invert`."""
-    x = descending_vector(x_sorted)
-    nz = int(np.count_nonzero(x))
-    return x[:nz].copy(), x.size - nz
-
-
-def _pav_clamp_scale(v: np.ndarray) -> np.ndarray:
-    sums: list[float] = []
-    counts: list[int] = []
-    for val in v.tolist():
-        s, c = val, 1
-        while sums and sums[-1] * c < s * counts[-1]:
-            s += sums.pop()
-            c += counts.pop()
-        sums.append(s)
-        counts.append(c)
-    out = np.empty_like(v)
-    pos = 0
-    for s, c in zip(sums, counts):
-        out[pos : pos + c] = max(s / c, 0.0)
-        pos += c
-    nrm_sq = float(out @ out)
-    if nrm_sq > 1.0:
-        out /= math.sqrt(nrm_sq)
-    return out
-
-
-def project_ball_cone(v) -> np.ndarray:
-    """Euclidean projection onto {w : w1 >= ... >= wn >= 0, ||w||_2 <= 1}.
-
-    Pool-adjacent-violators gives the nonincreasing fit, clamping the pooled
-    blocks at zero lands in the cone, and a radial scale handles the ball;
-    the composition is exact because the cone is convex and the ball is
-    centered at the origin.
-    """
-    return _pav_clamp_scale(as_vector(v))
-
-
-@dataclass
-class PgdSolution:
-    """Result of :func:`pgd_wstep`: a sphere direction with its gap, or an
-    ``origin`` limit with all-zero ``w_star`` and ``g_value`` 0, plus the
-    limit's norm, the update count and the ``certified`` flag."""
-
-    w_star: np.ndarray
-    g_value: float
-    certified: bool
-    origin: bool
-    limit_norm: float
-    iterations: int
-
-
-def pgd_wstep(
-    x_sorted,
-    rho: float,
-    w0,
-    *,
-    pgd_tol: float = 1e-10,
-    max_iter: int = 100_000,
-    trace: list | None = None,
-) -> PgdSolution:
-    """Projected gradient on the relaxed ball-slice direction problem; a
-    reference solver that no prox calls.
-
-    Steps with 1/(2*rho*||x||^2), half the inverse gradient Lipschitz
-    constant, so the objective decreases every iteration (checked).  The
-    limit is classified as the origin below norm 1 - 1e-8 and as a sphere
-    direction otherwise; norms far from both raise a diagnostic warning
-    because only those two outcomes should occur.
-
-    The iteration stops once an update moves the iterate by at most
-    ``pgd_tol`` (a positive finite number) or after ``max_iter`` (positive)
-    updates; ``certified`` is cleared when the cap ends it.
-    """
-    if not (np.isfinite(pgd_tol) and pgd_tol > 0.0):
-        raise ValueError("pgd_tol must be a positive finite number")
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
-    rho = _positive_rho(rho)
-    x = descending_vector(x_sorted)
-    if x[-1] <= 0.0:
-        raise ValueError("entries must be strictly positive (trim zeros first)")
-    w = project_ball_cone(w0)
-    if w.shape != x.shape:
-        raise ValueError("dimension mismatch")
-
-    s2 = float(x @ x)
-    step = 1.0 / (2.0 * rho * s2)
-    ones = np.ones_like(x)
-
-    def relaxed_objective(u: np.ndarray) -> float:
-        t = float(x @ u)
-        return -0.5 * rho * t * t + float(u.sum())
-
-    h = relaxed_objective(w)
-    converged = False
-    iterations = 0
-    while iterations < max_iter:
-        grad = ones - rho * float(x @ w) * x
-        w_next = _pav_clamp_scale(w - step * grad)
-        h_next = relaxed_objective(w_next)
-        if h_next > h + 1e-12 * (1.0 + abs(h)):
-            raise ArithmeticError("relaxed objective increased along the iteration")
-        if trace is not None:
-            trace.append(h_next)
-        delta = float(np.linalg.norm(w_next - w))
-        w, h = w_next, h_next
-        iterations += 1
-        if delta <= pgd_tol:
-            converged = True
-            break
-
-    nu = float(np.linalg.norm(w))
-    if _DICHOTOMY_BAND < nu < 1.0 - _DICHOTOMY_BAND:
-        warnings.warn(
-            f"projected-gradient limit has intermediate norm {nu:.3e}; "
-            "expected the origin or a sphere point",
-            RuntimeWarning,
-        )
-    origin = nu < _SPHERE_BRANCH_NORM
-    w_star = np.zeros_like(w) if origin else w / nu
-    return PgdSolution(
-        w_star=w_star,
-        g_value=0.0 if origin else objective_G_h1(w_star, x, rho),
-        certified=converged,
-        origin=origin,
-        limit_norm=nu,
-        iterations=iterations,
-    )
-
-
 #: floor of N(t)^2 under the square root: where cancellation in the prefix
 #: sums rounds a small N^2 to zero or below, N stays positive and F' finite
 _N2_FLOOR = 1e-200
@@ -532,11 +389,14 @@ def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
     np.divide(x, x1, out=y[:m])
     # a root on the piece k >= 2 needs r y_k sqrt(A_k) > 1, and that is at
     # most rho x_2 ||x||; at or below 1/2 (a factor 2 of margin) no piece can
-    # hold one.  Where r = rho x1^2 overflows, F is +inf or NaN at every
-    # breakpoint, so no piece changes sign: the screen is skipped
+    # hold one.  Where r = rho x1^2 overflows the screen is skipped: every
+    # root then lies below about 1/r, which rounds to 0, so the soft
+    # threshold's t -> 0 limit, the full support y, stands in for them
     r = rho * x1 * x1
     live = m > 1 and r < math.inf and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
     roots = _roots(y, r) if live else []
+    if r == math.inf and m > 1 and y[1] > 0.0:
+        roots = [(m, 0.0)]
     # the first axis: <x, e1> = x1 and ||e1||_1 = 1 exactly
     e1 = np.zeros(m)
     e1[0] = 1.0
@@ -560,62 +420,6 @@ def prox_h1(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     Every step is exact and finite, so ``tol.tie_tol`` is the only setting.
     """
     return prox(x, rho, tol, wstep_h1_r2, _wstep_h1, prox_h1_uniform)
-
-
-def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
-    """Diagnostic: stationary multiplier and direction of the full-sphere
-    relaxation of the direction problem.
-
-    The multiplier shift q = lambda - rho*||x||^2 is the unique positive
-    root of a quartic f (its coefficient signs change exactly once), found by
-    bisection on [0, sqrt(n)], where f(0) = c0 < 0 <= f(sqrt(n)) =
-    (n s2 - s1^2)(2 rho sqrt(n) + rho^2 s2) by Cauchy-Schwarz, and a short
-    Newton polish.  Every entry of the returned unit direction is negative,
-    which is why the full-sphere relaxation cannot solve the nonnegative
-    direction problem.  A quartic coefficient that is not finite raises
-    ``ValueError`` (input magnitude out of range).
-    """
-    rho = _positive_rho(rho)
-    x = descending_vector(x_sorted)
-    if x[0] == 0.0:
-        raise ValueError("zero vector")
-    n = x.size
-    s1 = float(x.sum())
-    s2 = _dot(x, x)  # silent on overflow: an infinite s2 is rejected below
-
-    c3 = 2.0 * rho * s2
-    c2 = rho * rho * s2 * s2 - n
-    c1 = -2.0 * rho * s1 * s1
-    c0 = -rho * rho * s1 * s1 * s2
-    if not all(map(math.isfinite, (c3, c2, c1, c0))):
-        raise ValueError("input magnitude out of range: a quartic coefficient is not finite")
-
-    def quartic(q: float) -> float:
-        return (((q + c3) * q + c2) * q + c1) * q + c0
-
-    def quartic_prime(q: float) -> float:
-        return ((4.0 * q + 3.0 * c3) * q + 2.0 * c2) * q + c1
-
-    lo, hi = 0.0, math.sqrt(n)
-    while hi - lo > _ROOT_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if quartic(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q = 0.5 * (lo + hi)
-    for _ in range(3):
-        dq = quartic_prime(q)
-        if dq == 0.0:
-            break
-        q_new = q - quartic(q) / dq
-        if not lo <= q_new <= hi:
-            break
-        q = q_new
-
-    lam = q + rho * s2
-    w = -(np.ones(n) + (rho * s1 / q) * x) / lam
-    return lam, w
 
 
 def curves_intersection_kappa() -> float:

@@ -1,12 +1,15 @@
-"""Brute-force ground truth for small dimensions.
+"""Reference solvers that the operators are checked against; no prox calls them.
 
-Grid minimization of the proximal objective and of the direction objective,
-kept deliberately independent of the analytic solvers: the objectives are
-re-derived inline from their definitions.  Ties are broken by the first
-(lexicographically smallest) grid index, and the origin and the input point
-are always evaluated explicitly regardless of grid alignment.  The proximal
-grids search the nonnegative orthant on |x| and give the minimizer the signs
-of x, which is exact for every sign-invariant penalty.
+The brute-force grids (:func:`brute_prox`, :func:`brute_wstep`, dimensions
+up to 3) re-derive their objectives inline, so they share no arithmetic with
+the analytic solvers; projected gradient (:func:`pgd_wstep` on the cone of
+:func:`project_ball_cone`) reads ``core``'s ``objective_G_h1``, and
+:func:`sphere_qp_lambda` solves the full-sphere relaxation of the l1/l2
+direction problem.  Grid ties are broken by the first (lexicographically
+smallest) grid index, and the origin and the input point are always
+evaluated explicitly regardless of grid alignment.  The proximal grids
+search the nonnegative orthant on |x| and give the minimizer the signs of
+x, which is exact for every sign-invariant penalty.
 
 Every penalty here is scale invariant, so for a fixed direction w the best
 radius is max(0, <x, w>) and the direction objective is F - (rho/2)||x||^2.
@@ -22,14 +25,20 @@ box or the resolution, and each sweep builds only the penalty quantity
 
 from __future__ import annotations
 
+import math
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 
-from .core import as_vector, descending_vector, _positive_rho
+from .core import _ROOT_TOL, _dot, _positive_rho, as_vector, descending_vector, objective_G_h1
 
 #: elements per block of both grids: it bounds their memory, and blocks this
 #: small keep their temporaries in cache
 _BLOCK = 1 << 14
 _MAX_WSTEP_RESOLUTION = 1e-3
+_SPHERE_BRANCH_NORM = 1.0 - 1e-8
+_DICHOTOMY_BAND = 1e-6
 
 
 def _angles(resolution: float) -> np.ndarray:
@@ -204,3 +213,184 @@ def _grid_prox(
         if f < best_f:
             best_u, best_f = max(t, 0.0) * w, f
     return best_u, best_f
+
+
+def _pav_clamp_scale(v: np.ndarray) -> np.ndarray:
+    sums: list[float] = []
+    counts: list[int] = []
+    for val in v.tolist():
+        s, c = val, 1
+        while sums and sums[-1] * c < s * counts[-1]:
+            s += sums.pop()
+            c += counts.pop()
+        sums.append(s)
+        counts.append(c)
+    out = np.empty_like(v)
+    pos = 0
+    for s, c in zip(sums, counts):
+        out[pos : pos + c] = max(s / c, 0.0)
+        pos += c
+    nrm_sq = float(out @ out)
+    if nrm_sq > 1.0:
+        out /= math.sqrt(nrm_sq)
+    return out
+
+
+def project_ball_cone(v) -> np.ndarray:
+    """Euclidean projection onto {w : w1 >= ... >= wn >= 0, ||w||_2 <= 1}.
+
+    Pool-adjacent-violators gives the nonincreasing fit, clamping the pooled
+    blocks at zero lands in the cone, and a radial scale handles the ball;
+    the composition is exact because the cone is convex and the ball is
+    centered at the origin.
+    """
+    return _pav_clamp_scale(as_vector(v))
+
+
+@dataclass
+class PgdSolution:
+    """Result of :func:`pgd_wstep`: a sphere direction with its gap, or an
+    ``origin`` limit with all-zero ``w_star`` and ``g_value`` 0, plus the
+    limit's norm, the update count and the ``certified`` flag."""
+
+    w_star: np.ndarray
+    g_value: float
+    certified: bool
+    origin: bool
+    limit_norm: float
+    iterations: int
+
+
+def pgd_wstep(
+    x_sorted,
+    rho: float,
+    w0,
+    *,
+    pgd_tol: float = 1e-10,
+    max_iter: int = 100_000,
+    trace: list | None = None,
+) -> PgdSolution:
+    """Projected gradient on the relaxed ball-slice direction problem; a
+    reference solver that no prox calls.
+
+    Steps with 1/(2*rho*||x||^2), half the inverse gradient Lipschitz
+    constant, so the objective decreases every iteration (checked).  The
+    limit is classified as the origin below norm 1 - 1e-8 and as a sphere
+    direction otherwise; norms far from both raise a diagnostic warning
+    because only those two outcomes should occur.
+
+    The iteration stops once an update moves the iterate by at most
+    ``pgd_tol`` (a positive finite number) or after ``max_iter`` (positive)
+    updates; ``certified`` is cleared when the cap ends it.
+    """
+    if not (np.isfinite(pgd_tol) and pgd_tol > 0.0):
+        raise ValueError("pgd_tol must be a positive finite number")
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
+    rho = _positive_rho(rho)
+    x = descending_vector(x_sorted)
+    if x[-1] <= 0.0:
+        raise ValueError("entries must be strictly positive (trim zeros first)")
+    w = project_ball_cone(w0)
+    if w.shape != x.shape:
+        raise ValueError("dimension mismatch")
+
+    s2 = float(x @ x)
+    step = 1.0 / (2.0 * rho * s2)
+    ones = np.ones_like(x)
+
+    def relaxed_objective(u: np.ndarray) -> float:
+        t = float(x @ u)
+        return -0.5 * rho * t * t + float(u.sum())
+
+    h = relaxed_objective(w)
+    converged = False
+    iterations = 0
+    while iterations < max_iter:
+        grad = ones - rho * float(x @ w) * x
+        w_next = _pav_clamp_scale(w - step * grad)
+        h_next = relaxed_objective(w_next)
+        if h_next > h + 1e-12 * (1.0 + abs(h)):
+            raise ArithmeticError("relaxed objective increased along the iteration")
+        if trace is not None:
+            trace.append(h_next)
+        delta = float(np.linalg.norm(w_next - w))
+        w, h = w_next, h_next
+        iterations += 1
+        if delta <= pgd_tol:
+            converged = True
+            break
+
+    nu = float(np.linalg.norm(w))
+    if _DICHOTOMY_BAND < nu < 1.0 - _DICHOTOMY_BAND:
+        warnings.warn(
+            f"projected-gradient limit has intermediate norm {nu:.3e}; "
+            "expected the origin or a sphere point",
+            RuntimeWarning,
+        )
+    origin = nu < _SPHERE_BRANCH_NORM
+    w_star = np.zeros_like(w) if origin else w / nu
+    return PgdSolution(
+        w_star=w_star,
+        g_value=0.0 if origin else objective_G_h1(w_star, x, rho),
+        certified=converged,
+        origin=origin,
+        limit_norm=nu,
+        iterations=iterations,
+    )
+
+
+def sphere_qp_lambda(x_sorted, rho: float) -> tuple[float, np.ndarray]:
+    """Diagnostic: stationary multiplier and direction of the full-sphere
+    relaxation of the direction problem.
+
+    The multiplier shift q = lambda - rho*||x||^2 is the unique positive
+    root of a quartic f (its coefficient signs change exactly once), found by
+    bisection on [0, sqrt(n)], where f(0) = c0 < 0 <= f(sqrt(n)) =
+    (n s2 - s1^2)(2 rho sqrt(n) + rho^2 s2) by Cauchy-Schwarz, and a short
+    Newton polish.  Every entry of the returned unit direction is negative,
+    which is why the full-sphere relaxation cannot solve the nonnegative
+    direction problem.  A quartic coefficient that is not finite raises
+    ``ValueError`` (input magnitude out of range).
+    """
+    rho = _positive_rho(rho)
+    x = descending_vector(x_sorted)
+    if x[0] == 0.0:
+        raise ValueError("zero vector")
+    n = x.size
+    s1 = float(x.sum())
+    s2 = _dot(x, x)  # silent on overflow: an infinite s2 is rejected below
+
+    c3 = 2.0 * rho * s2
+    c2 = rho * rho * s2 * s2 - n
+    c1 = -2.0 * rho * s1 * s1
+    c0 = -rho * rho * s1 * s1 * s2
+    if not all(map(math.isfinite, (c3, c2, c1, c0))):
+        raise ValueError("input magnitude out of range: a quartic coefficient is not finite")
+
+    def quartic(q: float) -> float:
+        return (((q + c3) * q + c2) * q + c1) * q + c0
+
+    def quartic_prime(q: float) -> float:
+        return ((4.0 * q + 3.0 * c3) * q + 2.0 * c2) * q + c1
+
+    lo, hi = 0.0, math.sqrt(n)
+    while hi - lo > _ROOT_TOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if quartic(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q = 0.5 * (lo + hi)
+    for _ in range(3):
+        dq = quartic_prime(q)
+        if dq == 0.0:
+            break
+        q_new = q - quartic(q) / dq
+        if not lo <= q_new <= hi:
+            break
+        q = q_new
+
+    lam = q + rho * s2
+    w = -(np.ones(n) + (rho * s1 / q) * x) / lam
+    return lam, w

@@ -12,6 +12,7 @@ from proxinv import (
     Tolerances,
     brute_prox,
     classify_r2,
+    effective_tie_tol,
     curves_intersection_kappa,
     objective_G_h1,
     pgd_wstep,
@@ -851,3 +852,59 @@ class TestFullProx:
         w0 = project_ball_cone(0.5 * x / np.linalg.norm(x))
         sol = pgd_wstep(x, rho, w0, pgd_tol=1e-16, max_iter=3)
         assert not sol.certified
+
+
+def overflow_corpus(rng, count):
+    """Heads whose r = rho x1^2 overflows while F(0) often stays finite:
+    x1 in 10^[153.5, 154.1], rho in 10^[0, 0.5], the other entries x1 times
+    10^[-3, 0]."""
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        x1 = 10.0 ** rng.uniform(153.5, 154.1)
+        rho = 10.0 ** rng.uniform(0.0, 0.5)
+        yield np.r_[x1, x1 * np.sort(10.0 ** rng.uniform(-3.0, 0.0, n - 1))[::-1]], rho
+
+
+class TestOverflowingScale:
+    """Where r = rho x1^2 overflows but F(0) does not, every root of F lies
+    below about 1/r, so the scan scores the full support with the first axis."""
+
+    X, RHO = np.array([1.2e154, 1e153, 1e152]), 2.0
+
+    def test_pinned_prox(self):
+        # the first axis's point scores about 1e306 here, x itself about 1.09
+        ps = prox_h1(self.X, self.RHO)
+        assert not ps.contains_zero and len(ps.points) == 1
+        p = ps.points[0]
+        assert np.count_nonzero(p) == 3
+        assert np.abs(p - self.X).max() <= 1e-15 * self.X[0]
+        tie = effective_tie_tol(DEFAULT_TOLERANCES, 0.5 * self.RHO * _dot(self.X, self.X))
+        assert f_value("h1", p, self.X, self.RHO) <= f_value("h1", self.X, self.X, self.RHO) + tie
+
+    def test_pinned_wstep(self):
+        sol = wstep_h1(self.X, self.RHO)
+        assert np.abs(sol.w_star - self.X / math.sqrt(_dot(self.X, self.X))).max() <= 1e-15
+        # the first axis stays a scored rival, with its closed-form gap
+        (w1, g1), = sol.rivals
+        assert np.array_equal(w1, [1.0, 0.0, 0.0]) and g1 == -0.5 * self.RHO * self.X[0] ** 2 + 1.0
+        assert sol.g_value < g1
+
+    def test_sets_beat_x_and_the_first_axis(self):
+        # a set is wrong when x itself or the first axis's point beats it by
+        # more than the tie tolerance; the gaps dwarf the rounding of F
+        rng = np.random.default_rng(97)
+        returned = 0
+        for x, rho in overflow_corpus(rng, 400):
+            if rho * float(x[0]) * float(x[0]) < math.inf:
+                continue
+            try:
+                ps = prox_h1(x, rho)
+            except ValueError as exc:
+                assert "out of range" in str(exc)
+                continue
+            returned += 1
+            e1 = np.r_[x[0], np.zeros(x.size - 1)]
+            ref = min(f_value("h1", x, x, rho), f_value("h1", e1, x, rho))
+            tie = effective_tie_tol(DEFAULT_TOLERANCES, 0.5 * rho * _dot(x, x))
+            assert best_f("h1", ps, x, rho) <= ref + tie, (x, rho)
+        assert returned >= 50
