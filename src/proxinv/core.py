@@ -347,8 +347,8 @@ def h2_value(u) -> float:
 
 
 def uniform_value(x_sorted) -> float | None:
-    """First entry if a sorted nonnegative vector is uniform, else None."""
-    x = np.asarray(x_sorted, dtype=float)
+    """First entry if x, validated by :func:`descending_vector`, is uniform, else None."""
+    x = descending_vector(x_sorted)
     first = float(x[0])
     if first - float(x[-1]) <= UNIFORM_RTOL * first:
         return first

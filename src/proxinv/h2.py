@@ -3,9 +3,10 @@
 The direction problem is a quadratic form built from a rank-2 matrix
 (2*e*e^T - rho*x*x^T).  Its negative-eigenvalue eigenvector has a closed
 form; when the eigenvector leaves the nonnegative cone the trailing
-coordinate of the optimal direction is provably zero, so one prefix-sum scan
-over prefix lengths picks the prefix the direction lives on.  The scan
-reads each prefix's trailing entry from sums of squares, (sqrt(rho/2) x - 1)^2,
+coordinate of the optimal direction is provably zero.  The prefixes whose
+eigenvector stays in the cone form an initial run (proved at :func:`wstep_h2`),
+so one bisection over prefix lengths picks the prefix the direction lives on,
+reading each trailing entry from prefix sums of squares, (sqrt(rho/2) x - 1)^2,
 in which no large terms cancel, and the gap from the same sums.  The matrix
 is never materialized: all products use the rank-2 structure.
 """
@@ -157,7 +158,7 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
 
 
 def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
-    """Direction solver on the prefix length picked by one prefix-sum scan.
+    """Direction solver on the prefix length picked by one bisection.
 
     Returns the solution on the full length of x (zero past the prefix)
     with the prefix length it was resolved on.  When the first column of
@@ -170,14 +171,20 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
     (:func:`h2_spectrum`'s factored delta): no large terms cancel, also on
     near-uniform heads, though heads tied to within a few rounding units may
     stop one prefix short, at an exact gap within 1e-14 tie tolerances.  An
-    untied head's walk reaches k = 2, whose direction (the arctangent of
+    untied head's pick is at least k = 2, whose direction (the arctangent of
     :func:`wstep_h2_r2`) is positive when mu >= 2 makes 2 - rho x_1 x_2 < 0.
-    The test runs in blocks of 1024, 2048, ... prefixes down from mu; only
-    the picked prefix's direction x - 2 s/alpha_hi is built, in place in the
-    result, with the gap k - alpha_hi/2.  A uniform prefix of two or more
-    entries carries the ``uniform_sphere`` tag, and so does the first axis
-    on a tied top block of j >= 2 entries, whose unit w >= 0 have
-    G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
+    The passing prefixes form an initial run, so one bisection, on Python
+    floats read from the prefix sums, finds the last.  Prefix k's direction
+    is x - c_k e, c_k the smaller root of q_k(c) = sum_{i<=k} (x_i - c)
+    (2 - rho c x_i), where q_k(0) = 2 s > 0.  Let c_k >= x_k (prefix k fails)
+    and 0 <= c < x_{k+1}: then q_k(c) > 0.  Were 2 - rho c x_{k+1} negative,
+    every term of q_k(c) would be negative; so it is >= 0, q_{k+1}(c) > 0 on
+    [0, x_{k+1}) and c_{k+1} >= x_{k+1}: once a prefix fails, every longer
+    prefix fails too.  Only the picked prefix's direction x - 2 s/alpha_hi
+    is built, in place in the result, with the gap k - alpha_hi/2.  A
+    uniform prefix of two or more entries carries the ``uniform_sphere``
+    tag, and so does the first axis on a tied top block of j >= 2 entries,
+    whose unit w >= 0 have G(w) = ||w||_1^2 G(e1), up to ``family_gap`` j G(e1).
     """
     rho = _positive_rho(rho)
     x = descending_vector(x_sorted)
@@ -193,7 +200,7 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         g = 1.0 - 0.5 * rho * x1 * x1  # G(e1), as _objective_G_h2 forms it
         family, gap = (UNIFORM_SPHERE, j * g) if j > 1 else (None, None)
         return WStepSolution(w_star=w, g_value=g, family=family, family_gap=gap), 1
-    floor = min(k, j)  # the tied top block: the walk's last stop
+    floor = min(k, j)  # the tied top block: the pick when no longer prefix passes
     if k > floor:
         r = math.sqrt(0.5 * rho)
         s = x[:k].cumsum()
@@ -202,34 +209,24 @@ def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:
         d *= d
         d.cumsum(out=d)
         # an infinite D overflows F(0) with it, and the decision step rejects the input
-        top, size = (k, 1024) if math.isfinite(d[-1]) else (floor, 0)
-        while top > floor:
-            # the trailing test on temporaries of the block's length
-            lo = max(floor, top - size)
-            sd = np.sqrt(d[lo:top])
-            t = np.multiply(s[lo:top], 4.0 * r)
-            t += d[lo:top]
-            np.sqrt(t, out=t)
-            t += sd
-            t *= sd
-            t *= x[lo:top]
-            y = np.multiply(x[lo:top], 2.0 * r, out=sd)
-            y -= 2.0
-            y *= s[lo:top]
-            t += y
-            hits = (t > 0.0).nonzero()[0]
-            if hits.size:
-                # the gap from the prefix's own pairwise sums: cumsum rounding grows with k
-                k = lo + int(hits[-1]) + 1
-                sk, _, alpha_hi = _factored(x[:k], r, out=w[:k])
-                w_lo = np.subtract(x[:k], 2.0 * sk / alpha_hi, out=w[:k])
-                norm2 = _dot(w_lo, w_lo)
-                if not (math.isfinite(sk) and math.isfinite(norm2)):
-                    raise ValueError("input magnitude out of range: sum or squared norm is not finite")
-                w_lo /= math.sqrt(norm2)
-                return WStepSolution(w_star=w, g_value=k - 0.5 * alpha_hi), k
-            top, size = lo, 2 * size
-    k = floor
+        k, hi = floor, (k if math.isfinite(d[-1]) else floor)
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            sk, dk, xk = float(s[mid - 1]), float(d[mid - 1]), float(x[mid - 1])
+            sd = math.sqrt(dk)
+            if (math.sqrt(4.0 * r * sk + dk) + sd) * sd * xk + (2.0 * r * xk - 2.0) * sk > 0.0:
+                k = mid
+            else:
+                hi = mid - 1
+        if k > floor:
+            # the gap from the prefix's own pairwise sums: cumsum rounding grows with k
+            sk, _, alpha_hi = _factored(x[:k], r, out=w[:k])
+            w_lo = np.subtract(x[:k], 2.0 * sk / alpha_hi, out=w[:k])
+            norm2 = _dot(w_lo, w_lo)
+            if not (math.isfinite(sk) and math.isfinite(norm2)):
+                raise ValueError("input magnitude out of range: sum or squared norm is not finite")
+            w_lo /= math.sqrt(norm2)
+            return WStepSolution(w_star=w, g_value=k - 0.5 * alpha_hi), k
     w[:k] = 1.0 / np.sqrt(k)
     family = UNIFORM_SPHERE if k >= 2 else None
     return WStepSolution(w_star=w, g_value=_objective_G_h2(w[:k], x[:k], rho), family=family), k

@@ -24,13 +24,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    UNIFORM_RTOL,
     ProxSet,
     Tolerances,
     _dot,
     _positive_rho,
     effective_tie_tol,
     normalize,
-    uniform_value,
 )
 
 _UNIT_ATOL = 1e-10
@@ -149,7 +149,7 @@ def prox(x, rho: float, tol: Tolerances | None, planar, wstep, uniform) -> ProxS
     if m == 0:
         return ProxSet(True, [], g_value=1.0)
     head = xs[:m]
-    if uniform_value(head) is not None:
+    if head[0] - head[-1] <= UNIFORM_RTOL * head[0]:  # uniform_value's test, minus its validation pass
         return uniform(head[0], m, rho, tol).map_points(perm.invert)
     # the direction is passed inline, not bound to a local, so it is freed before perm.invert
     return wrd_assemble(head, rho, (planar if m == 2 else wstep)(head, rho), tol).map_points(perm.invert)

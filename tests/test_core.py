@@ -479,6 +479,12 @@ class TestUniformValue:
         assert uniform_value([2.0, 1.0]) is None
         assert uniform_value([1e-300, 0.0]) is None
 
+    @pytest.mark.parametrize("x", [[0.5, 1.0], [], 1.0, [[1.0, 0.5]]], ids=["ascending", "empty", "scalar", "2-D"])
+    def test_rejects_what_is_not_a_sorted_vector(self, x):
+        # an ascending pair would read as uniform on its first entry alone
+        with pytest.raises(ValueError):
+            uniform_value(x)
+
 
 class TestTolerances:
     def test_defaults_valid(self):

@@ -125,8 +125,8 @@ def vector_mu(x, rho):
 
 
 def block_scan_cases(rng, count):
-    """Sorted inputs of n = 1025..30000, past the scan's first block of 1024
-    prefixes, with rho log-uniform on [1e-2, 10^1.5]: Gaussian and Cauchy
+    """Sorted inputs of n = 1025..30000, whose picks can lie more than 1024
+    prefixes below mu, with rho log-uniform on [1e-2, 10^1.5]: Gaussian and Cauchy
     magnitudes, Gaussian magnitudes rounded to 1..3 decimals (long runs of
     ties) and Gaussian magnitudes under a tied top block of 2..n/2 entries."""
     kinds = ("gaussian", "cauchy", "rounded", "tied")
@@ -189,6 +189,26 @@ def decimal_walk(x, rho, last):
                 break
             s, a = s - v[k - 1], a - v[k - 1] * v[k - 1]
     return k_ref, walk
+
+
+def float_scan_pick(x, rho):
+    """wstep_h2's pick as a full scan: its float trailing test, in its
+    operation order, as one vector expression over every prefix in
+    (floor, mu], and the last prefix that passes (the floor when none does)."""
+    top = _mu(x, rho)
+    if top == 0:
+        return 1
+    floor = min(top, int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])))
+    r = math.sqrt(0.5 * rho)
+    head = x[:top]
+    y = head * r - 1.0
+    s, d = np.cumsum(head), np.cumsum(y * y)
+    if not math.isfinite(d[-1]):
+        return floor
+    sd = np.sqrt(d)
+    t = (np.sqrt(4.0 * r * s + d) + sd) * sd * head + (2.0 * r * head - 2.0) * s
+    passing = np.flatnonzero(t[floor:] > 0.0)
+    return floor + int(passing[-1]) + 1 if passing.size else floor
 
 
 class TestSpectrum:
@@ -447,6 +467,56 @@ class TestDirectionSolver:
         assert pinned == (7512, 7521, 8682)
         assert short <= 2
 
+    def test_passing_prefixes_form_initial_run_in_exact_arithmetic(self):
+        # the bisection's premise, in 50-digit decimal: above the tied top
+        # block, the prefixes whose direction keeps a positive trailing entry
+        # are the shortest ones, on mixed, rounded, tied and near-uniform heads
+        rng = np.random.default_rng(62)
+        cases = list(scan_cases(rng, 600))
+        for i in range(480):
+            kind = ("rounded", "tied", "near_uniform")[i % 3]
+            n = int(rng.integers(3, 1001))
+            x = np.abs(rng.normal(size=n))
+            if kind == "rounded":
+                x = np.round(x, int(rng.integers(1, 4)))
+            elif kind == "near_uniform":
+                x = 1.0 + rng.random(n) * 10.0 ** rng.uniform(-12.0, -1.0)
+            x = np.sort(x)[::-1].copy()
+            if kind == "tied":
+                x[: int(rng.integers(2, max(3, n // 2)))] = x[0]
+            x = x[: np.count_nonzero(x)]
+            if kind == "near_uniform":
+                rho = 2.0 / (x[0] * x[int(rng.integers(1, x.size))])
+            else:
+                rho = float(10.0 ** rng.uniform(-2.0, 1.5))
+            cases.append((kind, x, rho))
+        mixed = dict.fromkeys(("gaussian", "zero_padded", "uniform_block", "rounded", "tied", "near_uniform"), 0)
+        for kind, x, rho in cases:
+            top = _mu(x, rho)
+            floor = min(top, int(np.count_nonzero(x[0] - x <= UNIFORM_RTOL * x[0])))
+            _, walk = decimal_walk(x, rho, last=floor)
+            assert sorted(walk) == list(range(floor + 1, top + 1))
+            passing = [k for k in sorted(walk) if walk[k][0]]
+            assert passing == list(range(floor + 1, floor + 1 + len(passing))), (kind, x.size, rho)
+            mixed[kind] += 0 < len(passing) < len(walk)  # both a passing and a failing prefix
+        assert min(mixed.values()) >= 20, mixed
+
+    def test_pick_is_last_passing_prefix_of_float_scan(self):
+        # the bisection reads the float trailing test at about log2(mu)
+        # prefixes; it picks what a scan of every prefix picks, also where
+        # the test sits at the rounding level (near-uniform and near-tied heads)
+        cases = list(block_scan_cases(np.random.default_rng(63), 200))
+        cases += list(near_uniform_cases(np.random.default_rng(64), 90))
+        for seed in (0, 3):
+            x = np.sort(1.0 + np.random.default_rng(seed).random(20000) * 1e-7)[::-1].copy()
+            cases.append((f"seed {seed}", x, 2.0 / (x[0] * x[10000])))
+        deep = 0
+        for kind, x, rho in cases:
+            _, k = wstep_h2(x, rho)
+            assert k == float_scan_pick(x, rho), (kind, x.size, rho)
+            deep += k < _mu(x, rho) - 1024
+        assert deep >= 20, deep
+
     def test_two_entry_pick_matches_planar_closed_form(self):
         # on an untied head with mu >= 2 the walk runs down to k = 2, where the
         # exact direction is in the cone and is the planar arctangent's: the
@@ -615,8 +685,8 @@ class TestProx:
     )
     def test_out_of_range_message_and_warnings(self, x, rho, message, most):
         # one ValueError per input, after no more numpy RuntimeWarnings than
-        # the walk's block arithmetic leaves on the way there; an infinite D
-        # stops the walk at the first axis, whose infinite gap is rejected
+        # the prefix sums of squares leave on the way there; an infinite D
+        # skips the bisection for the first axis, whose infinite gap is rejected
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="input magnitude out of range: " + message):
