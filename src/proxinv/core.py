@@ -158,13 +158,14 @@ _SIGNS = np.array([1.0, -1.0])
 
 def _descending_order(a: np.ndarray) -> np.ndarray:
     """Indices that sort the magnitudes ``a`` descending, equal ones in index
-    order: exactly ``np.argsort(-a, kind="stable")``.
+    order: ``np.argsort(-a, kind="stable")``, which :func:`normalize` checks.
 
     Past ``_STABLE_SORT_MAX`` entries, one sort of unique 64-bit keys:
     bits(max a) - bits(a), ordered like -a, over the index in the low b bits,
     less the ``shift`` lowest bits that do not fit.  Distinct magnitudes with
-    equal kept bits then come out in index order; if that is out of order,
-    the stable sort stands in.
+    equal kept bits then come out in index order, so this order may not be
+    descending; :func:`normalize` finds that on the sorted vector and lets the
+    stable sort stand in.
     """
     n = a.size
     if n <= _STABLE_SORT_MAX:
@@ -179,11 +180,7 @@ def _descending_order(a: np.ndarray) -> np.ndarray:
     keys &= ~low
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort()
-    order = (keys & low).view(np.int64)
-    s = a[order]
-    if bool(np.all(s[:-1] >= s[1:])):
-        return order
-    return (-a).argsort(kind="stable")
+    return (keys & low).view(np.int64)
 
 
 def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
@@ -200,6 +197,13 @@ def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
     picked = v[order]
     signs = _SIGNS.take(picked < 0.0)
     picked *= signs
+    # the flipped entries are the magnitudes a[order] (a -0.0 compares equal
+    # to 0.0), so the packed keys' order is checked on them
+    if a.size > _STABLE_SORT_MAX and not bool(np.all(picked[:-1] >= picked[1:])):
+        order = (-a).argsort(kind="stable")
+        picked = v[order]
+        signs = _SIGNS.take(picked < 0.0)
+        picked *= signs
     return picked, SignedPermutation(order=order, signs=signs)
 
 

@@ -7,8 +7,11 @@ the full-sphere stationary direction has all entries negative
 
 * uniform and single-axis inputs have threshold closed forms;
 * in the plane, the angular derivative of the direction objective factors
-  into a positive function times a strictly convex one, so safeguarded
-  bisection on that factor (and on its derivative) finds the exact angle;
+  into a positive function times a strictly convex one, positive at the
+  arc's end; Newton's method on that factor from the end falls
+  monotonically to its largest root (a tangent of a convex function stays
+  below it), or shows by a nonpositive slope, or a step past 0, that there
+  is none, and finds the exact angle;
 * in general dimension every direction that can beat the origin is a soft
   threshold (x - tau)_+ of the sorted input.  Its threshold is a root of
   F(t) = r t <y, (y - t)_+> - ||(y - t)_+|| (y = x/x1, r = rho x1^2), which
@@ -86,20 +89,26 @@ def L_eval(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float
 
 
 def _L(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float:
-    a = geom.alpha_angle
-    q = rho * norm2_sq
-    # where q underflows to 0 the term is +inf: the factor is positive on the
-    # whole arc, and the first axis is the planar direction
-    return math.sin(2.0 * theta - a) / math.cos(theta + 0.25 * math.pi) + (
-        2.0 * math.sqrt(2.0) / q if q else math.inf
-    )
+    return _factor(theta, geom.alpha_angle, _offset(rho, norm2_sq))[0]
 
 
 def _L_prime(theta: float, geom: R2Geometry) -> float:
-    a = geom.alpha_angle
-    c = math.cos(theta + 0.25 * math.pi)
-    s = math.sin(theta + 0.25 * math.pi)
-    return (2.0 * math.cos(2.0 * theta - a) * c + math.sin(2.0 * theta - a) * s) / (c * c)
+    return _factor(theta, geom.alpha_angle, 0.0)[1]
+
+
+def _offset(rho: float, norm2_sq: float) -> float:
+    """The factor's constant term 2 sqrt(2)/(rho ||x||^2)."""
+    q = rho * norm2_sq
+    # where q underflows to 0 the term is +inf: the factor is positive on the
+    # whole arc, and the first axis is the planar direction
+    return 2.0 * math.sqrt(2.0) / q if q else math.inf
+
+
+def _factor(t: float, a: float, c: float) -> tuple[float, float]:
+    """L and L' at t, for alpha = ``a`` and the constant term ``c``."""
+    u, v = t + 0.25 * math.pi, 2.0 * t - a
+    cu, sv = math.cos(u), math.sin(v)
+    return sv / cu + c, (2.0 * math.cos(v) * cu + sv * math.sin(u)) / (cu * cu)
 
 
 def _bisect(f, lo: float, hi: float, width: float) -> float:
@@ -119,45 +128,83 @@ def _bisect(f, lo: float, hi: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
+#: bound on the planar Newton descent's steps; it reaches a float fixed point
+#: in at most a few dozen (see :func:`wstep_h1_r2`), so the bound only stops a loop
+_NEWTON_CAP = 100
+
+
 def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     """Exact planar direction via the convex factor of the angular derivative.
 
-    The factor is strictly convex on the arc with a positive right endpoint,
-    so it has at most two roots; the case split on the product rho*x1*x2 and
-    on kappa decides whether the first axis, the unique interior root, or
-    the better of the two is optimal.
+    On the arc [0, half], half = alpha/2, the factor
+    L(theta) = sin(2 theta - alpha)/cos(theta + pi/4) + c with
+    c = 2 sqrt(2)/(rho ||x||^2) is strictly convex, with L(half) = c > 0 and
+    L(0) = c (1 - rho x1 x2), so it has at most two roots.  The case split
+    on the product rho*x1*x2 and on kappa decides whether the first axis,
+    the unique interior root, or the better of the axis and the largest
+    root is optimal.
+
+    The largest root r is found by Newton's method from theta = half.  L is
+    convex, so at any theta > r with L(theta) > 0 the chord bound gives
+    L'(theta) >= L(theta)/(theta - r) > 0, and the Newton point
+    theta - L/L' lies in [r, theta): the iterates fall monotonically to r
+    (Ortega and Rheinboldt, *Iterative Solution of Nonlinear Equations in
+    Several Variables*, 1970, 13.3).  Conversely the tangent at an iterate
+    lies below L, so an iterate with L > 0 and L' <= 0, or a Newton point
+    at or below 0, shows that L > 0 on (0, half]: L has no root there, and
+    the first axis is the direction.  Where rho*x1*x2 > 1, L(0) < 0 and the
+    latter happens only when rounding hides that, with the root within
+    rounding of 0.  The descent stops at the first iterate with L <= 0 or
+    whose Newton point does not move below it in floats.  Past
+    ``_NEWTON_CAP`` steps, bisection on the bracket [0, theta] stands in.
     """
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
-    geom = _r2_geometry(x)
     x1, x2 = float(x[0]), float(x[1])
-    s2 = x1 * x1 + x2 * x2
-    half = 0.5 * geom.alpha_angle
+    kappa = x2 / x1
+    a = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
+    c = _offset(rho, x1 * x1 + x2 * x2)
     cross = rho * x1 * x2
-
-    def L(theta: float) -> float:
-        return _L(theta, geom, rho, s2)
-
-    def Lp(theta: float) -> float:
-        return _L_prime(theta, geom)
 
     if cross > 1.0:
         # factor starts negative: unique interior root is the global angle
-        theta_star = _bisect(L, 0.0, half, _ROOT_TOL)
-    elif geom.kappa <= GOLDEN_RATIO_CONJUGATE:
+        theta_star = _largest_root(a, c)
+    elif kappa <= GOLDEN_RATIO_CONJUGATE:
         theta_star = 0.0
     else:
-        theta0 = _bisect(Lp, 0.0, half, _ROOT_TOL)
-        if L(theta0) >= 0.0:
-            theta_star = 0.0
-        else:
-            theta1 = _bisect(L, theta0, half, _ROOT_TOL)
+        theta1 = _largest_root(a, c)
+        theta_star = theta1
+        if theta1 > 0.0:
             w0 = np.array([1.0, 0.0])
             w1 = np.array([math.cos(theta1), math.sin(theta1)])
             theta_star = 0.0 if _objective_G_h1(w0, x, rho) <= _objective_G_h1(w1, x, rho) else theta1
 
     w = np.array([math.cos(theta_star), math.sin(theta_star)])
     return WStepSolution(w_star=w, g_value=_objective_G_h1(w, x, rho))
+
+
+def _largest_root(a: float, c: float) -> float:
+    """Largest root of L on [0, a/2] by Newton's descent from a/2, or 0.0
+    where L has none on (0, a/2] (see :func:`wstep_h1_r2`)."""
+    t = 0.5 * a
+    for _ in range(_NEWTON_CAP):
+        f, d = _factor(t, a, c)
+        if f <= 0.0:
+            return t
+        new = t - f / d if d > 0.0 else -math.inf
+        if new >= t:
+            return t
+        if new <= 0.0:
+            return 0.0
+        t = new
+    # the bracket [0, t] holds the largest root, if any: past L's minimum t0,
+    # or from 0 where L rises from the start
+
+    def L(theta: float) -> float:
+        return _factor(theta, a, c)[0]
+
+    t0 = _bisect(lambda theta: _factor(theta, a, c)[1], 0.0, t, _ROOT_TOL)
+    return _bisect(L, t0, t, _ROOT_TOL) if L(t0) < 0.0 else 0.0
 
 
 def _s2_threshold(kappa: float, rho: float) -> float:

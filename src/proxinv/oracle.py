@@ -41,8 +41,16 @@ _SPHERE_BRANCH_NORM = 1.0 - 1e-8
 _DICHOTOMY_BAND = 1e-6
 
 
+def _grid_count(extent: float, resolution: float) -> int:
+    """Points of the grid 0, resolution, 2 resolution, ... up to ``extent``."""
+    steps = extent / resolution
+    if steps == math.inf:
+        raise ValueError(f"grid too large: {extent:g} / {resolution:g} steps overflow")
+    return int(np.floor(steps)) + 1
+
+
 def _angles(resolution: float) -> np.ndarray:
-    m = int(np.floor(0.5 * np.pi / resolution)) + 1
+    m = _grid_count(0.5 * np.pi, resolution)
     th = np.arange(m) * resolution
     if th[-1] < 0.5 * np.pi - 1e-15:
         th = np.append(th, 0.5 * np.pi)
@@ -190,7 +198,7 @@ def _grid_prox(
         best_u, best_f = x.copy(), fx
 
     if method == "box" and n == 2:
-        m = int(np.floor(box / resolution)) + 1
+        m = _grid_count(box, resolution)
         vals = np.arange(m) * resolution
         d2 = 0.5 * rho * (vals - x[1]) ** 2
         rows = max(1, _BLOCK // m)

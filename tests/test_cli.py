@@ -283,6 +283,23 @@ class TestOracleCommand:
         assert "PASS" not in out and "FAIL" not in out
         assert "allocate" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--x", "1,0.7", "--box", "1e308"],
+            ["--x", "1,0.7", "--box", "1e300", "--resolution", "1e-10"],
+            ["--x", "1,0.7,0.5", "--resolution", "1e-320"],
+        ],
+        ids=["box", "box-resolution", "sphere"],
+    )
+    def test_overflowing_grid_count_exits_2(self, capsys, argv):
+        # box / resolution (or (pi/2) / resolution on the sphere) overflows to
+        # inf; exit 1 would read as a mismatch
+        code, out, err = run_cli(capsys, ["oracle", "--fn", "h1", "--rho", "2", *argv])
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert "grid too large" in err
+
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_tolerance_exits_2(self, capsys, value):
         # nan and -1 would read as a mismatch and inf as a pass for any result

@@ -28,7 +28,18 @@ from proxinv import (
     wstep_h1_r2,
 )
 from proxinv.core import _dot, _objective_G_h1
-from proxinv.h1 import _N2_FLOOR, _ROOT_TOL, _newton_root, _peak, _piece, _wstep_h1
+from proxinv.h1 import (
+    _N2_FLOOR,
+    _NEWTON_CAP,
+    _ROOT_TOL,
+    _L,
+    _L_prime,
+    _bisect,
+    _newton_root,
+    _peak,
+    _piece,
+    _wstep_h1,
+)
 from proxinv.wrd import WStepSolution
 from helpers import assert_sets_close, best_f, candidates, f_value, sorted_desc
 
@@ -230,6 +241,196 @@ class TestPlanarDirection:
             sol = wstep_h1_r2(x, rho)
             grid = -0.5 * rho * (W @ x) ** 2 + W.sum(axis=1)
             assert sol.g_value <= grid.min() + 1e-7
+
+
+def bisection_wstep_h1_r2(x, rho):
+    """The planar kernel as bisections of L and L' to a width of 1e-12, the
+    solver that the Newton descent replaced: (w_star, g_value)."""
+    x1, x2 = float(x[0]), float(x[1])
+    geom = r2_geometry(x)
+    s2 = plane_s2(x)
+    half = 0.5 * geom.alpha_angle
+
+    def L(theta):
+        return _L(theta, geom, rho, s2)
+
+    if rho * x1 * x2 > 1.0:
+        theta = _bisect(L, 0.0, half, 1e-12)
+    elif geom.kappa <= GOLDEN:
+        theta = 0.0
+    else:
+        theta0 = _bisect(lambda t: _L_prime(t, geom), 0.0, half, 1e-12)
+        theta = 0.0
+        if L(theta0) < 0.0:
+            theta1 = _bisect(L, theta0, half, 1e-12)
+            w0, w1 = np.array([1.0, 0.0]), np.array([math.cos(theta1), math.sin(theta1)])
+            if _objective_G_h1(w0, x, rho) > _objective_G_h1(w1, x, rho):
+                theta = theta1
+    w = np.array([math.cos(theta), math.sin(theta)])
+    return w, _objective_G_h1(w, x, rho)
+
+
+def planar_cases(seed, count):
+    """Plane inputs (x1 > x2 > 0, rho) in four kinds: random; rho*x1*x2
+    within 1e-16..1e-1 relative of 1; kappa = x2/x1 as near the golden ratio
+    conjugate, half of them also with rho*x1*x2 near 1; and random inputs
+    scaled by 10^[-150, 150] with rho scaled back."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        x1 = rng.uniform(0.05, 2.5)
+        kappa = rng.uniform(0.01, 0.999)
+        rho = 10.0 ** rng.uniform(-1.0, 1.5)
+        near = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0)
+        kind = i % 4
+        if kind == 2:
+            kappa = GOLDEN * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0))
+        x2 = x1 * kappa
+        if kind == 1 or (kind == 2 and i % 8 == 2):
+            rho = near / (x1 * x2)
+        if kind == 3:
+            s = 10.0 ** rng.uniform(-150.0, 150.0)
+            x1, x2, rho = x1 * s, x2 * s, rho / (s * s)
+        out.append((np.array([x1, x2]), float(rho)))
+    return out
+
+
+def plane_s2(x):
+    """||x||^2 as the planar kernel rounds it (``x @ x`` may fuse)."""
+    return float(x[0] * x[0] + x[1] * x[1])
+
+
+def grid_cells(rho=2.0, grid=40, xmax=2.0):
+    """Cell centres of the region map with x1 > x2."""
+    h = xmax / grid
+    return [(np.array([(i + 0.5) * h, (j + 0.5) * h]), rho) for i in range(grid) for j in range(i)]
+
+
+def interior_angles(monkeypatch, cases):
+    """(x, rho, theta) for every positive angle that the descent returns."""
+    found = []
+    descend = proxinv.h1._largest_root
+
+    def recording(a, c):
+        theta = descend(a, c)
+        found.append(theta)
+        return theta
+
+    monkeypatch.setattr(proxinv.h1, "_largest_root", recording)
+    out = []
+    for x, rho in cases:
+        found.clear()
+        wstep_h1_r2(x, rho)
+        out += [(x, rho, t) for t in found if t > 0.0]
+    return out
+
+
+def rounding_width(theta, x, rho):
+    """4 ulps of theta plus 4 rounding errors of L at theta over its slope.
+
+    L = sin(v)/cos(u) + c rounds c and the arguments u = theta + pi/4 and
+    v = 2 theta - alpha (each to within ulp(pi/2)); so where the root is
+    ill-conditioned (L' small, or cos(u) small as kappa nears 1) no float
+    angle is nearer to L's float sign change than this width.
+    """
+    geom = r2_geometry(x)
+    c = 2.0 * math.sqrt(2.0) / (rho * plane_s2(x))
+    u, v = theta + 0.25 * math.pi, 2.0 * theta - geom.alpha_angle
+    cu = math.cos(u)
+    # |dL/du| ulp(u) + |dL/dv| ulp(v), with both ulps at most ulp(pi/2)
+    slopes = abs(math.sin(v) * math.sin(u)) / (cu * cu) + 2.0 * abs(math.cos(v)) / cu
+    eta = math.ulp(c) + slopes * math.ulp(0.5 * math.pi)
+    return 4.0 * math.ulp(theta) + 4.0 * eta / _L_prime(theta, geom)
+
+
+def assert_float_root(x, rho, theta):
+    """L_eval changes sign on [theta - d, theta + d], d = rounding_width,
+    clipped to the arc."""
+    geom = r2_geometry(x)
+    d = rounding_width(theta, x, rho)
+    ends = (max(theta - d, 0.0), theta, min(theta + d, 0.5 * geom.alpha_angle))
+    vals = [L_eval(t, geom, rho, plane_s2(x)) for t in ends]
+    assert min(vals) <= 0.0 <= max(vals), (x.tolist(), rho, theta)
+
+
+class TestPlanarNewton:
+    """The planar kernel's Newton descent on L from the arc's end."""
+
+    def test_interior_angle_is_float_root(self, monkeypatch):
+        cases = grid_cells() + planar_cases(71, 2000)
+        found = interior_angles(monkeypatch, cases)
+        assert len(found) > 1000
+        for x, rho, theta in found:
+            assert_float_root(x, rho, theta)
+
+    def test_branch_and_gap_match_bisection(self, monkeypatch):
+        # where the branches differ, either both score the same G up to
+        # rounding, or rho*x1*x2 rounds above 1 while L(0) rounds to >= 0:
+        # there the bisection returned the first axis, whose G is higher
+        cases = planar_cases(72, 5000)
+        ties = mended = 0
+        for x, rho in cases:
+            w, g = bisection_wstep_h1_r2(x, rho)
+            sol = wstep_h1_r2(x, rho)
+            tol = 1e-14 * (1.0 + abs(g))
+            assert sol.g_value <= g + tol, (x.tolist(), rho)
+            if (w[1] == 0.0) != (sol.w_star[1] == 0.0):
+                if abs(sol.g_value - g) <= tol:
+                    ties += 1
+                else:
+                    assert w[1] == 0.0 and rho * x[0] * x[1] > 1.0, (x.tolist(), rho)
+                    mended += 1
+        assert ties + mended <= 0.01 * len(cases)
+        for x, rho, theta in interior_angles(monkeypatch, cases):
+            assert_float_root(x, rho, theta)
+
+    def test_descent_ends_at_fixed_point_below_cap(self, monkeypatch):
+        # each interior angle is one where L <= 0 or the Newton point does not
+        # move below it; the bracket fallback past the cap is never reached
+        calls = []
+        factor = proxinv.h1._factor
+
+        def counting(t, a, c):
+            calls.append(t)
+            return factor(t, a, c)
+
+        def unreachable(*args):
+            raise AssertionError("bracket fallback reached")
+
+        monkeypatch.setattr(proxinv.h1, "_factor", counting)
+        monkeypatch.setattr(proxinv.h1, "_bisect", unreachable)
+        cases = grid_cells() + planar_cases(73, 2000)
+        most = 0
+        for x, rho in cases:
+            calls.clear()
+            wstep_h1_r2(x, rho)
+            most = max(most, len(calls))
+        assert 0 < most < _NEWTON_CAP
+        for x, rho, theta in interior_angles(monkeypatch, cases):
+            kappa = x[1] / x[0]
+            a = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
+            f, d = factor(theta, a, 2.0 * math.sqrt(2.0) / (rho * plane_s2(x)))
+            assert f <= 0.0 or theta - f / d >= theta, (x.tolist(), rho)
+
+    def test_bracket_fallback_past_cap(self, monkeypatch):
+        # with the cap at 2 steps the bisections on [0, t] decide, and G
+        # matches the bisection kernel's to within its width
+        monkeypatch.setattr(proxinv.h1, "_NEWTON_CAP", 2)
+        for x, rho in grid_cells() + planar_cases(74, 400):
+            w, g = bisection_wstep_h1_r2(x, rho)
+            sol = wstep_h1_r2(x, rho)
+            assert abs(sol.g_value - g) <= 1e-10 * (1.0 + abs(g)), (x.tolist(), rho)
+
+    def test_mends_axis_where_cross_rounds_above_one(self):
+        # rho*x1*x2 = 1 + 2.6e-16: L(0) rounds to 0 and the bisection returned
+        # the first axis, with G = 0.369; the interior angle 0.3933151162535379
+        # has G = 0.35665440063365687 (50-digit reference values)
+        x, rho = np.array([0.7305719035707977, 0.5792119453623578]), 2.363194809096597
+        sol = wstep_h1_r2(x, rho)
+        theta = math.atan2(sol.w_star[1], sol.w_star[0])
+        assert theta == pytest.approx(0.39331511625353788565, rel=1e-12)
+        assert sol.g_value == pytest.approx(0.35665440063365687217, rel=1e-14)
+        assert bisection_wstep_h1_r2(x, rho)[1] == pytest.approx(0.36933974737542004207, rel=1e-14)
 
 
 class TestClassification:
