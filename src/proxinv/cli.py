@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     Tolerances,
+    _positive_rho,
     as_vector,
     normalize,
     objective_F,
@@ -94,6 +95,9 @@ def _cmd_region(args) -> int:
     if args.include_boundary:
         thr = float(np.sqrt(2.0 / args.rho))
         diag = float(np.sqrt(diag_c / args.rho))
+        # checked before the first row, so that a failure writes no CSV
+        if not np.isfinite(thr + diag):
+            raise ValueError("input magnitude out of range: boundary points are not finite")
         edge = ((thr, k * thr / max(args.grid - 1, 1)) for k in range(args.grid))
         rows = itertools.chain(rows, edge, [(diag, diag)])
     out = sys.stdout
@@ -216,10 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "rho", None) is not None and args.rho <= 0.0:
-        print("rho must be positive", file=sys.stderr)
-        return 2
     try:
+        _positive_rho(args.rho)
         return args.run(args)
     except (ValueError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)

@@ -19,11 +19,13 @@ the full-sphere stationary direction has all entries negative
   concave quadratic minus a convex norm: concave, with at most two roots.
   One vector pass evaluates F at every breakpoint from prefix sums and
   keeps the pieces where F changes sign, or where both ends are negative
-  but the end tangents reach 0 (the two-root case); each kept piece is
-  solved by a bracketed scalar Newton search, and the roots are scored with
-  the first axis (:func:`wstep_h1`).  A tied top block makes F vanish at
-  the top breakpoint with the zero direction; that root never counts, and
-  the top piece's real root has a closed form.
+  but F rises from the lower end and falls to the upper one (the two-root
+  case).  On a kept piece the same Newton descent, on the convex -F from a
+  negative end, finds the root nearest that end or shows that there is
+  none; a two-root piece is descended from both ends.  The roots are
+  scored with the first axis (:func:`wstep_h1`).  A tied top block makes F
+  vanish at the top breakpoint with the zero direction; that root never
+  counts, and the top piece's real root has a closed form.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ class R2Region(NamedTuple):
 
 
 def r2_geometry(x_sorted) -> R2Geometry:
-    return _r2_geometry(_plane_vector(x_sorted))
-
-
-def _r2_geometry(x: np.ndarray) -> R2Geometry:
+    x = _plane_vector(x_sorted)
     kappa = float(x[1] / x[0])
     alpha = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
     return R2Geometry(kappa=kappa, alpha_angle=alpha)
@@ -128,9 +127,49 @@ def _bisect(f, lo: float, hi: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
-#: bound on the planar Newton descent's steps; it reaches a float fixed point
-#: in at most a few dozen (see :func:`wstep_h1_r2`), so the bound only stops a loop
+#: bound on the steps of :func:`_descend`, which stops well before it; only
+#: where rounding makes F noisy near the root (near-uniform heads) do the
+#: last steps crawl by an ulp or two: at most 73 steps on 29,000 sorted heads
 _NEWTON_CAP = 100
+
+
+def _descend(fd, t: float, stop: float, u, v) -> float:
+    """Root of a convex F nearest ``t`` toward ``stop``, where F(t) > 0, or
+    ``stop`` where F has none before it; ``fd(t, u, v)`` gives F and F'.
+
+    Newton's method from t.  The tangent at an iterate lies below the convex
+    F.  So if it does not head toward ``stop`` (F' of the wrong sign, or
+    zero), or its zero lies at or past ``stop``, F stays positive all the
+    way to ``stop``: there is no root.  Otherwise, for a root s, the chord
+    bound gives |F'(t)| >= F(t)/|t - s|, so the Newton point t - F/F' lies
+    between t and s: the iterates move monotonically to the nearest root
+    (Ortega and Rheinboldt, *Iterative Solution of Nonlinear Equations in
+    Several Variables*, 1970, 13.3).  The descent stops at the first iterate
+    with F <= 0, or whose Newton point does not move in floats.  Past
+    ``_NEWTON_CAP`` steps, bisection stands in: on F' for F's minimum
+    between the iterate and ``stop``, then on F between that minimum and
+    the iterate, if F is negative there.
+    """
+    down = stop < t
+    for _ in range(_NEWTON_CAP):
+        f, d = fd(t, u, v)
+        if f <= 0.0:
+            return t
+        if not (d > 0.0 if down else d < 0.0):
+            return stop
+        new = t - f / d
+        if new == t:
+            return t
+        if new <= stop if down else new >= stop:
+            return stop
+        t = new
+    lo, hi = (stop, t) if down else (t, stop)
+    t0 = _bisect(lambda s: fd(s, u, v)[1], lo, hi, _ROOT_TOL)
+    if fd(t0, u, v)[0] >= 0.0:
+        return stop
+    if down:
+        return _bisect(lambda s: fd(s, u, v)[0], t0, t, _ROOT_TOL)
+    return _bisect(lambda s: -fd(s, u, v)[0], t, t0, _ROOT_TOL)
 
 
 def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
@@ -144,19 +183,11 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     the unique interior root, or the better of the axis and the largest
     root is optimal.
 
-    The largest root r is found by Newton's method from theta = half.  L is
-    convex, so at any theta > r with L(theta) > 0 the chord bound gives
-    L'(theta) >= L(theta)/(theta - r) > 0, and the Newton point
-    theta - L/L' lies in [r, theta): the iterates fall monotonically to r
-    (Ortega and Rheinboldt, *Iterative Solution of Nonlinear Equations in
-    Several Variables*, 1970, 13.3).  Conversely the tangent at an iterate
-    lies below L, so an iterate with L > 0 and L' <= 0, or a Newton point
-    at or below 0, shows that L > 0 on (0, half]: L has no root there, and
-    the first axis is the direction.  Where rho*x1*x2 > 1, L(0) < 0 and the
-    latter happens only when rounding hides that, with the root within
-    rounding of 0.  The descent stops at the first iterate with L <= 0 or
-    whose Newton point does not move below it in floats.  Past
-    ``_NEWTON_CAP`` steps, bisection on the bracket [0, theta] stands in.
+    The largest root r is Newton's descent on L from theta = half toward 0
+    (:func:`_descend`, which proves it).  Where the descent shows that L has
+    no root on (0, half], the first axis is the direction; where
+    rho*x1*x2 > 1, L(0) < 0, and that happens only when rounding hides it,
+    with the root within rounding of 0.
     """
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
@@ -186,25 +217,7 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
 def _largest_root(a: float, c: float) -> float:
     """Largest root of L on [0, a/2] by Newton's descent from a/2, or 0.0
     where L has none on (0, a/2] (see :func:`wstep_h1_r2`)."""
-    t = 0.5 * a
-    for _ in range(_NEWTON_CAP):
-        f, d = _factor(t, a, c)
-        if f <= 0.0:
-            return t
-        new = t - f / d if d > 0.0 else -math.inf
-        if new >= t:
-            return t
-        if new <= 0.0:
-            return 0.0
-        t = new
-    # the bracket [0, t] holds the largest root, if any: past L's minimum t0,
-    # or from 0 where L rises from the start
-
-    def L(theta: float) -> float:
-        return _factor(theta, a, c)[0]
-
-    t0 = _bisect(lambda theta: _factor(theta, a, c)[1], 0.0, t, _ROOT_TOL)
-    return _bisect(L, t0, t, _ROOT_TOL) if L(t0) < 0.0 else 0.0
+    return _descend(_factor, 0.5 * a, 0.0, a, c)
 
 
 def _s2_threshold(kappa: float, rho: float) -> float:
@@ -274,58 +287,15 @@ def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> Pro
 _N2_FLOOR = 1e-200
 
 
-def _piece(r: float, A: float, B: float, k: int):
-    """F and F' on the support piece of size k, with A and B the sums of
-    y_i^2 and y_i over the top k entries: there <y, (y - t)_+> = A - t B and
-    ||(y - t)_+||^2 = A - 2 t B + k t^2."""
-
-    def fd(t: float) -> tuple[float, float]:
-        q = A - t * B
-        n = math.sqrt(max(q - t * (B - k * t), _N2_FLOOR))
-        return r * t * q - n, r * (q - t * B) + (B - k * t) / n
-
-    return fd
-
-
-def _newton_root(fd, neg: float, pos: float, width: float) -> float:
-    """Root of F between ``neg`` (F < 0) and ``pos`` (F >= 0), in either order.
-
-    Newton from the last point, or the bracket midpoint whenever the Newton
-    point leaves the bracket or moves more than half the previous step, so
-    each pass halves the step or the bracket.  On a concave F, Newton from
-    the negative end stays on that side and converges monotonically.
-    """
-    t, step = neg, 2.0 * (pos - neg)
-    while abs(pos - neg) > width:
-        f, d = fd(t)
-        if f == 0.0:
-            return t
-        if f < 0.0:
-            neg = t
-        else:
-            pos = t
-        new = t - f / d if d else t
-        if not min(neg, pos) < new < max(neg, pos) or abs(new - t) > 0.5 * abs(step):
-            new = 0.5 * (neg + pos)
-        step, t = new - t, new
-        if abs(step) <= width:
-            break
-    return t
-
-
-def _peak(fd, a: float, b: float, width: float) -> float | None:
-    """A point of [a, b] where the concave F is >= 0, or None; bisects on the
-    sign of F' toward the maximum."""
-    while b - a > width:
-        t = 0.5 * (a + b)
-        f, d = fd(t)
-        if f >= 0.0:
-            return t
-        if d > 0.0:
-            a = t
-        else:
-            b = t
-    return None
+def _piece(t: float, r: float, sums: tuple[float, float, int]) -> tuple[float, float]:
+    """-F and -F' at t on the support piece of size k, for sums = (A, B, k)
+    with A and B the sums of y_i^2 and y_i over the top k entries: there
+    <y, (y - t)_+> = A - t B and ||(y - t)_+||^2 = A - 2 t B + k t^2.  The
+    negated F is convex on the piece, as :func:`_descend` needs."""
+    A, B, k = sums
+    q = A - t * B
+    n = math.sqrt(max(q - t * (B - k * t), _N2_FLOOR))
+    return n - r * t * q, -(r * (q - t * B) + (B - k * t) / n)
 
 
 def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
@@ -353,28 +323,20 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
     both = neg[1:] & neg[:-1]
     both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
     if both.any():
-        # end slopes of every piece; a maximum inside needs F' > 0 at the
-        # lower end and < 0 at the upper one
+        # a maximum inside a piece needs F' > 0 at its lower end and < 0 at
+        # its upper one
         a, b, kp, bp = t[1:], t[:-1], k[1:], Bk[1:]
-        da = r * (q[1:] - a * bp) + (bp - kp * a) / n[1:]
-        db = r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1]
-        both &= da > 0.0
-        both &= db < 0.0
-        p = both.nonzero()[0]
-        da, db = da[p], -db[p]
-        # the tangents' zeros a - f_a/da and b + f_b/db are in order, scaled
-        # by s^2 with s = max(da, db) so that no product overflows
-        s = np.maximum(da, db)
-        da, db = da / s, db / s
-        both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
+        both &= r * (q[1:] - a * bp) + (bp - kp * a) / n[1:] > 0.0
+        both &= r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1] < 0.0
     for p in (change | both).nonzero()[0].tolist():
-        fd = _piece(r, float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
-        lo, hi = float(t[p + 1]), float(t[p])
+        kk, lo, hi = j + 1 + p, float(t[p + 1]), float(t[p])
+        sums = (float(Ak[p + 1]), float(Bk[p + 1]), kk)
         if change[p]:
             ends = (lo, hi) if neg[p + 1] else (hi, lo)
-            roots.append((j + 1 + p, _newton_root(fd, *ends, _ROOT_TOL)))
-        elif (top := _peak(fd, lo, hi, _ROOT_TOL)) is not None:
-            roots += [(j + 1 + p, _newton_root(fd, end, top, _ROOT_TOL)) for end in (lo, hi)]
+            roots.append((kk, _descend(_piece, *ends, r, sums)))
+        elif (root := _descend(_piece, lo, hi, r, sums)) < hi:
+            # both ends negative, and a root: the other lies above it
+            roots += [(kk, root), (kk, _descend(_piece, hi, root, r, sums))]
     return roots
 
 
@@ -401,10 +363,15 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     passes and only the first axis is scored.  Otherwise one vector pass
     evaluates F at all breakpoints from the prefix sums; a piece is solved
     only if F changes sign across it (one root), or if both ends are
-    negative, 2 r y_k sqrt(A) > 1 and the end tangents, which bound the
-    concave F from above, meet at or above 0.  Such a piece holds two roots when F's
-    maximum is positive, one on each side of it.  Each root is a bracketed
-    scalar Newton search on F.
+    negative, 2 r y_k sqrt(A) > 1, F' > 0 at the lower end and F' < 0 at
+    the upper one.  Such a piece holds two roots when F's maximum is
+    positive, one on each side of it.  Each root is Newton's descent
+    (:func:`_descend`) on the convex -F from a negative end: where F
+    changes sign, from the negative end toward the other; where both ends
+    are negative, from the lower end toward the upper one, and if that
+    finds a root, from the upper end back to it.  The tangent of -F bounds
+    it from below, so a descent that ends at the far end certifies that
+    the piece holds no root there, with no width and no bracket.
 
     A top block y_1 = ... = y_j = 1 makes F(1) = 0 with the zero direction;
     that root never counts.  On piece j, F = (1 - t)(r j t - sqrt(j)), so

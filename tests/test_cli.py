@@ -57,6 +57,18 @@ class TestProxCommand:
         code, _, err = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "-1", "--x", "1,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("rho", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["prox", "region"])
+    def test_bad_rho_exits_2_before_output(self, capsys, command, rho):
+        # one rule for every subcommand: nan and inf fail as 0 does
+        argv = {
+            "prox": ["--x", "1,2"],
+            "region": ["--xmax", "2", "--grid", "3", "--mode", "zero-map", "--include-boundary"],
+        }[command]
+        code, out, err = run_cli(capsys, [command, "--fn", "h1", "--rho", rho, *argv])
+        assert code == 2 and out == ""
+        assert err.strip() == "rho must be a positive finite number"
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["prox", "--fn", "l0", "--x", "1,2"])
@@ -157,6 +169,19 @@ class TestRegionCommand:
         assert code == 0
         labels = [line.split(",")[2] for line in out.strip().splitlines()]
         assert "tie" in labels
+
+    def test_include_boundary_overflow_writes_no_rows(self, capsys):
+        # sqrt(2/rho) overflows: the boundary points are checked before the
+        # first grid row is written
+        code, out, err = run_cli(
+            capsys,
+            [
+                "region", "--fn", "l0", "--rho", "1e-320", "--xmax", "2", "--grid", "3",
+                "--mode", "zero-map", "--include-boundary",
+            ],
+        )
+        assert code == 2 and out == ""
+        assert "out of range" in err
 
     def test_include_boundary_ratio_tie(self, capsys):
         code, out, _ = run_cli(

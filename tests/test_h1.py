@@ -35,8 +35,7 @@ from proxinv.h1 import (
     _L,
     _L_prime,
     _bisect,
-    _newton_root,
-    _peak,
+    _descend,
     _piece,
     _wstep_h1,
 )
@@ -753,11 +752,11 @@ def reference_corpus(rng, count):
     return cases
 
 
-def gather_screen_wstep_h1(x, rho, peaks):
+def gather_screen_wstep_h1(x, rho, descents):
     """wstep_h1 before the trusted kernel, kept as a reference: the first
     axis scored as a length-m unit vector by the objective, and the
-    two-root test run on pieces gathered by index.  Appends the ends of every
-    piece handed to ``_peak`` to ``peaks``; returns the solution and the set
+    two-root test run on pieces gathered by index.  Appends the start and
+    stop of every descent to ``descents``; returns the solution and the set
     of branches taken."""
     m = x.size
     x1 = float(x[0])
@@ -765,6 +764,11 @@ def gather_screen_wstep_h1(x, rho, peaks):
     np.divide(x, x1, out=y[:m])
     r = rho * x1 * x1
     roots, seen = [], set()
+
+    def descend(start, stop, sums):
+        descents.append((start, stop))
+        return _descend(_piece, start, stop, r, sums)
+
     if m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0:
         A, B = np.cumsum(y * y), np.cumsum(y)
         j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
@@ -784,27 +788,23 @@ def gather_screen_wstep_h1(x, rho, peaks):
         both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
         p = both.nonzero()[0]
         if p.size:
-            seen.add("tangent")
+            seen.add("both_negative")
             a, b, kp, bp = t[p + 1], t[p], k[p + 1], Bk[p + 1]
             da = r * (q[p + 1] - a * bp) + (bp - kp * a) / n[p + 1]
             db = r * (q[p] - b * bp) + (bp - kp * b) / n[p]
-            rise = (da > 0.0) & (db < 0.0)
-            p, da, db = p[rise], da[rise], -db[rise]
-            s = np.maximum(da, db)
-            da, db = da / s, db / s
             both[:] = False
-            both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
+            both[p[(da > 0.0) & (db < 0.0)]] = True
         for p in (change | both).nonzero()[0].tolist():
-            fd = _piece(r, float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
+            sums = (float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
             lo, hi = float(t[p + 1]), float(t[p])
             if change[p]:
                 ends = (lo, hi) if neg[p + 1] else (hi, lo)
-                roots.append((j + 1 + p, _newton_root(fd, *ends, _ROOT_TOL)))
+                roots.append((j + 1 + p, descend(*ends, sums)))
                 continue
-            peaks.append((lo, hi))
-            if (top := _peak(fd, lo, hi, _ROOT_TOL)) is not None:
+            seen.add("two_root_descent")
+            if (root := descend(lo, hi, sums)) < hi:
                 seen.add("two_root")
-                roots += [(j + 1 + p, _newton_root(fd, end, top, _ROOT_TOL)) for end in (lo, hi)]
+                roots += [(j + 1 + p, root), (j + 1 + p, descend(hi, root, sums))]
     scored = []
     for kk, tk in [(1, 0.0)] + roots:
         w = np.zeros(m)
@@ -821,27 +821,28 @@ class TestSupportScan:
     def test_trusted_scan_matches_parent(self, monkeypatch):
         # the trusted kernel, with the first axis scored in closed form and
         # the two-root test on contiguous slices, gives the same bits as the
-        # gather screen and hands the same pieces to _peak
-        peaks = []
+        # gather screen and runs the same descents
+        descents = []
 
-        def recording_peak(fd, a, b, width):
-            peaks.append((a, b))
-            return _peak(fd, a, b, width)
+        def recording(fd, t, stop, u, v):
+            descents.append((t, stop))
+            return _descend(fd, t, stop, u, v)
 
-        monkeypatch.setattr(proxinv.h1, "_peak", recording_peak)
+        monkeypatch.setattr(proxinv.h1, "_descend", recording)
         rng = np.random.default_rng(76)
         pinned = np.array([1.35, 0.95, 0.85, 0.65, 0.15])
         # the pinned two-root input at five scales (the scan sees x/x1 and
         # rho*x1^2, so each keeps its two-root pieces)
         cases = [(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
         cases += reference_corpus(rng, 1500)
-        seen = dict.fromkeys(("tangent", "peak", "two_root", "tied_top", "first_axis", "root"), 0)
+        names = ("both_negative", "two_root_descent", "two_root", "tied_top", "first_axis", "root")
+        seen = dict.fromkeys(names, 0)
         for x, rho in cases:
-            peaks.clear()
+            descents.clear()
             sol = _wstep_h1(x, rho)
-            ref_peaks = []
-            ref, branches = gather_screen_wstep_h1(x, rho, ref_peaks)
-            assert peaks == ref_peaks, (x.size, rho)
+            ref_descents = []
+            ref, branches = gather_screen_wstep_h1(x, rho, ref_descents)
+            assert descents == ref_descents, (x.size, rho)
             assert sol.w_star.tobytes() == ref.w_star.tobytes(), (x.size, rho)
             assert repr(sol.g_value) == repr(ref.g_value)
             assert (sol.family, sol.family_gap) == (ref.family, ref.family_gap)
@@ -850,7 +851,6 @@ class TestSupportScan:
                 assert w.tobytes() == w_ref.tobytes() and repr(g) == repr(g_ref)
             for name in branches:
                 seen[name] += 1
-            seen["peak"] += bool(ref_peaks)
         assert min(seen.values()) >= 5, seen
 
     def test_never_above_projected_gradient(self):
@@ -945,6 +945,250 @@ class TestSupportScan:
         # away from the crossing one direction wins
         for r in (rho * (1.0 - 1e-6), rho * (1.0 + 1e-6)):
             assert len(prox_h1(x, r).points) == 1
+
+
+def bracketed_roots(y, r):
+    """``h1._roots`` as it was before the shared descent, kept as a
+    reference: a bracketed Newton search per sign change, and a tangent
+    screen and a bisection for the maximum on pieces with both ends
+    negative."""
+
+    def piece(A, B, k):
+        def fd(t):
+            q = A - t * B
+            n = math.sqrt(max(q - t * (B - k * t), _N2_FLOOR))
+            return r * t * q - n, r * (q - t * B) + (B - k * t) / n
+
+        return fd
+
+    def newton(fd, neg, pos):
+        t, step = neg, 2.0 * (pos - neg)
+        while abs(pos - neg) > _ROOT_TOL:
+            f, d = fd(t)
+            if f == 0.0:
+                return t
+            if f < 0.0:
+                neg = t
+            else:
+                pos = t
+            new = t - f / d if d else t
+            if not min(neg, pos) < new < max(neg, pos) or abs(new - t) > 0.5 * abs(step):
+                new = 0.5 * (neg + pos)
+            step, t = new - t, new
+            if abs(step) <= _ROOT_TOL:
+                break
+        return t
+
+    def peak(fd, a, b):
+        while b - a > _ROOT_TOL:
+            t = 0.5 * (a + b)
+            f, d = fd(t)
+            if f >= 0.0:
+                return t
+            if d > 0.0:
+                a = t
+            else:
+                b = t
+        return None
+
+    m = y.size - 1
+    A, B = (y * y).cumsum(), y.cumsum()
+    roots = []
+    j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+    if j > 1 and y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
+        roots.append((j, 1.0 / (r * math.sqrt(j))))
+    t = y[j:]
+    k = np.arange(j, m + 1.0)
+    Ak, Bk = A[j - 1 : m], B[j - 1 : m]
+    q = Ak - t * Bk
+    n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
+    f = r * t * q - n
+    neg = f < 0.0
+    change = neg[1:] != neg[:-1]
+    both = neg[1:] & neg[:-1]
+    both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
+    if both.any():
+        a, b, kp, bp = t[1:], t[:-1], k[1:], Bk[1:]
+        da = r * (q[1:] - a * bp) + (bp - kp * a) / n[1:]
+        db = r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1]
+        both &= (da > 0.0) & (db < 0.0)
+        p = both.nonzero()[0]
+        da, db = da[p], -db[p]
+        s = np.maximum(da, db)
+        da, db = da / s, db / s
+        # the end tangents' zeros are in order
+        both[p] = -f[p + 1] * db - f[p] * da <= (t[p] - t[p + 1]) * s * da * db
+    for p in (change | both).nonzero()[0].tolist():
+        fd = piece(float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
+        lo, hi = float(t[p + 1]), float(t[p])
+        if change[p]:
+            roots.append((j + 1 + p, newton(fd, *((lo, hi) if neg[p + 1] else (hi, lo)))))
+        elif (top := peak(fd, lo, hi)) is not None:
+            roots += [(j + 1 + p, newton(fd, end, top)) for end in (lo, hi)]
+    return roots
+
+
+def descent_corpus():
+    """The pinned two-root input at five scales, 300 heads of
+    :func:`reference_corpus` and 100 near-uniform heads 1 + s u, n = 3..300,
+    s = 10^[-8, -2], with rho over four decades around 2 sqrt(n)/||x||^2."""
+    pinned = np.array([1.35, 0.95, 0.85, 0.65, 0.15])
+    cases = [(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
+    rng = np.random.default_rng(77)
+    cases += reference_corpus(rng, 300)
+    for _ in range(100):
+        n = int(rng.integers(3, 301))
+        x = np.sort(1.0 + 10.0 ** rng.uniform(-8.0, -2.0) * rng.random(n))[::-1]
+        cases.append((x, 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(n) / float(x @ x)))
+    return cases
+
+
+def assert_prox_sets_match(got, ref, x, rho, point_rtol, g_tol):
+    """Same membership of the origin, point count, supports and family;
+    points within ``point_rtol`` relative and g within ``g_tol``."""
+    assert (got.contains_zero, len(got.points), got.family) == (
+        ref.contains_zero, len(ref.points), ref.family), (x.size, rho)
+    for u, v in zip(got.points, ref.points):
+        assert np.array_equal(u != 0.0, v != 0.0), (x.size, rho)
+        assert np.abs(u - v).max() <= point_rtol * np.abs(v).max(), (x.size, rho)
+    assert abs(got.g_value - ref.g_value) <= g_tol, (x.size, rho)
+
+
+def scan_roots(monkeypatch, cases):
+    """(y, r, roots) of every ``_roots`` call on ``cases``."""
+    found = []
+    roots = proxinv.h1._roots
+
+    def recording(y, r):
+        out = roots(y, r)
+        found.append((y, r, out))
+        return out
+
+    monkeypatch.setattr(proxinv.h1, "_roots", recording)
+    for x, rho in cases:
+        _wstep_h1(x, rho)
+    monkeypatch.setattr(proxinv.h1, "_roots", roots)
+    return found
+
+
+def scan_F(t, y, r, A, B):
+    """F at t in [0, 1] as the scan rounds it, on the piece of the k entries
+    of y above t (at a breakpoint, the piece above it, as the screen has it)."""
+    k = int(np.count_nonzero(y > t))
+    sums = (float(A[k - 1]), float(B[k - 1]), k) if k else (0.0, 0.0, 0)
+    return -_piece(t, r, sums)[0]
+
+
+def scan_rounding_width(t, r, A, B, k):
+    """4 ulps of t plus 4 rounding errors of F at t over its slope.
+
+    F = r t (A - t B) - N, N = sqrt((A - t B) - t (B - k t)), rounds each
+    of its sums, so where the root is ill-conditioned (F' small, or N
+    small) no float t is nearer to F's float sign change than this width.
+    Where N^2 is below its own rounding error (near-uniform heads near
+    t = 1), F's float sign says nothing, and the width is infinite.
+    """
+    u = 2.0**-53
+    d = _piece(t, r, (A, B, k))[1]
+    n2, n2_err = A - t * B - t * (B - k * t), 4.0 * u * (A + 2.0 * t * B + k * t * t)
+    if n2 <= n2_err or not d:
+        return math.inf
+    n = math.sqrt(n2)
+    eta = 4.0 * u * r * t * (A + t * B) + n2_err / n + u * n
+    return 4.0 * math.ulp(t) + 4.0 * eta / abs(d)
+
+
+class TestScanDescent:
+    """The support scan's Newton descents on each piece."""
+
+    def test_prox_matches_bracketed_search(self, monkeypatch):
+        # the same sets as the bracketed Newton search and the peak bisection
+        # that the descent replaced, which stopped within 1e-12 of each root
+        cases = descent_corpus()
+        ours = [prox_h1(x, rho) for x, rho in cases]
+        monkeypatch.setattr(proxinv.h1, "_roots", bracketed_roots)
+        for (x, rho), got in zip(cases, ours):
+            tie = effective_tie_tol(DEFAULT_TOLERANCES, 0.5 * rho * float(x @ x))
+            assert_prox_sets_match(got, prox_h1(x, rho), x, rho, 1e-14, 1e-4 * tie)
+
+    def test_roots_are_float_roots(self, monkeypatch):
+        # F changes sign within the rounding width of every root, and a
+        # piece below the top block with both ends negative gives two
+        found = scan_roots(monkeypatch, descent_corpus())
+        count = two = resolved = 0
+        for y, r, roots in found:
+            A, B = np.cumsum(y * y), np.cumsum(y)
+            ks = [k for k, _ in roots]
+            for k, t in roots:
+                w = scan_rounding_width(t, r, float(A[k - 1]), float(B[k - 1]), k)
+                if w < math.inf:
+                    vals = [scan_F(s, y, r, A, B) for s in (max(t - w, 0.0), t, min(t + w, 1.0))]
+                    assert min(vals) <= 0.0 <= max(vals), (y.size, r, k, t)
+                    resolved += 1
+                lo, hi = float(y[k]), float(y[k - 1])
+                if hi < 1.0 and max(scan_F(lo, y, r, A, B), scan_F(hi, y, r, A, B)) < 0.0:
+                    assert ks.count(k) == 2, (y.size, r, k)
+                    two += 1
+                count += 1
+        assert resolved > 250 and two >= 10, (count, resolved, two)
+
+    def test_fallback_past_cap(self, monkeypatch):
+        # with the cap at 2 steps the bisections decide, in both directions
+        # and on two-root pieces, and give the bracketed search's sets
+        cases = descent_corpus()
+        descend, bisect = proxinv.h1._descend, proxinv.h1._bisect
+        down, fallbacks = [], {False: 0, True: 0}
+
+        def recording(fd, t, stop, u, v):
+            down.append(stop < t)
+            return descend(fd, t, stop, u, v)
+
+        def counting(f, lo, hi, width):
+            fallbacks[down[-1]] += 1
+            return bisect(f, lo, hi, width)
+
+        monkeypatch.setattr(proxinv.h1, "_NEWTON_CAP", 2)
+        monkeypatch.setattr(proxinv.h1, "_descend", recording)
+        monkeypatch.setattr(proxinv.h1, "_bisect", counting)
+        ours = [prox_h1(x, rho) for x, rho in cases]
+        pairs = sum(
+            len(roots) - len({k for k, _ in roots}) for _, _, roots in scan_roots(monkeypatch, cases)
+        )
+        assert min(fallbacks.values()) >= 10 and pairs >= 10, (fallbacks, pairs)
+        monkeypatch.setattr(proxinv.h1, "_roots", bracketed_roots)
+        for (x, rho), got in zip(cases, ours):
+            ref = prox_h1(x, rho)
+            assert_prox_sets_match(got, ref, x, rho, 1e-9, 1e-10 * (1.0 + abs(ref.g_value)))
+
+    def test_descent_ends_at_fixed_point_below_cap(self, monkeypatch):
+        # every descent that finds a root ends where -F <= 0 or its Newton
+        # point does not move; the bisection fallback is never reached
+        calls, ends = [], []
+        piece, descend = proxinv.h1._piece, proxinv.h1._descend
+
+        def counting(t, r, sums):
+            calls.append(t)
+            return piece(t, r, sums)
+
+        def recording(fd, t, stop, u, v):
+            calls.clear()
+            out = descend(fd, t, stop, u, v)
+            ends.append((out, stop, u, v, len(calls)))
+            return out
+
+        def unreachable(*args):
+            raise AssertionError("bisection fallback reached")
+
+        monkeypatch.setattr(proxinv.h1, "_piece", counting)
+        monkeypatch.setattr(proxinv.h1, "_descend", recording)
+        monkeypatch.setattr(proxinv.h1, "_bisect", unreachable)
+        for x, rho in descent_corpus():
+            _wstep_h1(x, rho)
+        assert len(ends) > 300 and 0 < max(e[-1] for e in ends) < _NEWTON_CAP
+        for t, stop, r, sums, _ in ends:
+            if t != stop:
+                f, d = piece(t, r, sums)
+                assert f <= 0.0 or t - f / d == t, (t, r, sums)
 
 
 def test_large_dimension_runtime():
