@@ -88,8 +88,8 @@ def _region_label(ps) -> str:
 def _cmd_region(args) -> int:
     tol = _tolerances(args)
     prox, _, diag_c = _OPERATORS[args.fn]
-    if args.grid < 1 or args.xmax <= 0.0:
-        raise ValueError("grid must be >= 1 and xmax positive")
+    if args.grid < 1 or not 0.0 < args.xmax < np.inf:
+        raise ValueError("grid must be >= 1 and xmax positive and finite")
     h = args.xmax / args.grid
     rows = (((i + 0.5) * h, (j + 0.5) * h) for i in range(args.grid) for j in range(i + 1))
     if args.include_boundary:

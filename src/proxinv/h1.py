@@ -17,13 +17,13 @@ the full-sphere stationary direction has all entries negative
   F(t) = r t <y, (y - t)_+> - ||(y - t)_+|| (y = x/x1, r = rho x1^2), which
   is continuous and, on each support piece between two breakpoints, a
   concave quadratic minus a convex norm: concave, with at most two roots.
-  One vector pass evaluates F at every breakpoint from prefix sums and
-  keeps the pieces where F changes sign, or where both ends are negative
-  but F rises from the lower end and falls to the upper one (the two-root
-  case).  On a kept piece the same Newton descent, on the convex -F from a
-  negative end, finds the root nearest that end or shows that there is
-  none; a two-root piece is descended from both ends.  The roots are
-  scored with the first axis (:func:`wstep_h1`).  A tied top block makes F
+  The direction objective's slope along the threshold path has the sign of
+  F, so only a rising root (F turning nonnegative as t grows) can win.  One
+  vector pass evaluates F at every breakpoint from prefix sums and keeps
+  the pieces where F turns nonnegative or, with both ends negative, rises
+  from the lower end and falls to the upper one; on each, one Newton
+  descent on the convex -F from the lower end finds the rising root or
+  shows that there is none (:func:`wstep_h1`).  A tied top block makes F
   vanish at the top breakpoint with the zero direction; that root never
   counts, and the top piece's real root has a closed form.
 """
@@ -197,27 +197,20 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     c = _offset(rho, x1 * x1 + x2 * x2)
     cross = rho * x1 * x2
 
-    if cross > 1.0:
-        # factor starts negative: unique interior root is the global angle
-        theta_star = _largest_root(a, c)
-    elif kappa <= GOLDEN_RATIO_CONJUGATE:
+    if cross <= 1.0 and kappa <= GOLDEN_RATIO_CONJUGATE:
         theta_star = 0.0
     else:
-        theta1 = _largest_root(a, c)
-        theta_star = theta1
-        if theta1 > 0.0:
+        theta_star = _descend(_factor, 0.5 * a, 0.0, a, c)
+        # for cross > 1 the unique interior root is the global angle; else
+        # it must beat the first axis
+        if cross <= 1.0 and theta_star > 0.0:
             w0 = np.array([1.0, 0.0])
-            w1 = np.array([math.cos(theta1), math.sin(theta1)])
-            theta_star = 0.0 if _objective_G_h1(w0, x, rho) <= _objective_G_h1(w1, x, rho) else theta1
+            w1 = np.array([math.cos(theta_star), math.sin(theta_star)])
+            if _objective_G_h1(w0, x, rho) <= _objective_G_h1(w1, x, rho):
+                theta_star = 0.0
 
     w = np.array([math.cos(theta_star), math.sin(theta_star)])
     return WStepSolution(w_star=w, g_value=_objective_G_h1(w, x, rho))
-
-
-def _largest_root(a: float, c: float) -> float:
-    """Largest root of L on [0, a/2] by Newton's descent from a/2, or 0.0
-    where L has none on (0, a/2] (see :func:`wstep_h1_r2`)."""
-    return _descend(_factor, 0.5 * a, 0.0, a, c)
 
 
 def _s2_threshold(kappa: float, rho: float) -> float:
@@ -299,9 +292,9 @@ def _piece(t: float, r: float, sums: tuple[float, float, int]) -> tuple[float, f
 
 
 def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
-    """Every root t of F with its support size k, in increasing k, for the
-    breakpoints y (ending in 0) and r = rho*x1^2: the screen, then the
-    scalar solves (see :func:`wstep_h1`)."""
+    """Every rising root t of F with its support size k, in increasing k,
+    for the breakpoints y (ending in 0) and r = rho*x1^2: the screen, then
+    one descent per kept piece from its lower end (see :func:`wstep_h1`)."""
     m = y.size - 1
     A, B = (y * y).cumsum(), y.cumsum()  # A[k-1], B[k-1]: over the top k
     roots = []
@@ -319,7 +312,7 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
     n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
     f = r * t * q - n
     neg = f < 0.0
-    change = neg[1:] != neg[:-1]
+    rise = neg[1:] & ~neg[:-1]
     both = neg[1:] & neg[:-1]
     both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
     if both.any():
@@ -328,15 +321,11 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
         a, b, kp, bp = t[1:], t[:-1], k[1:], Bk[1:]
         both &= r * (q[1:] - a * bp) + (bp - kp * a) / n[1:] > 0.0
         both &= r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1] < 0.0
-    for p in (change | both).nonzero()[0].tolist():
+    for p in (rise | both).nonzero()[0].tolist():
         kk, lo, hi = j + 1 + p, float(t[p + 1]), float(t[p])
-        sums = (float(Ak[p + 1]), float(Bk[p + 1]), kk)
-        if change[p]:
-            ends = (lo, hi) if neg[p + 1] else (hi, lo)
-            roots.append((kk, _descend(_piece, *ends, r, sums)))
-        elif (root := _descend(_piece, lo, hi, r, sums)) < hi:
-            # both ends negative, and a root: the other lies above it
-            roots += [(kk, root), (kk, _descend(_piece, hi, root, r, sums))]
+        root = _descend(_piece, lo, hi, r, (float(Ak[p + 1]), float(Bk[p + 1]), kk))
+        if rise[p] or root < hi:  # a rising root may be hi, where F(hi) = 0
+            roots.append((kk, root))
     return roots
 
 
@@ -358,20 +347,29 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     (r t (A - t B))^2 = A - 2 t B + k t^2 restricted to A - t B > 0, where
     the other factor r t (A - t B) + ||.|| is positive.  F is continuous,
     and on a piece a concave quadratic minus a convex norm, so concave with
-    at most two roots.  Cauchy-Schwarz gives t >= 1/(r sqrt(A)), so a root
-    below y_k needs r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece
-    passes and only the first axis is scored.  Otherwise one vector pass
-    evaluates F at all breakpoints from the prefix sums; a piece is solved
-    only if F changes sign across it (one root), or if both ends are
-    negative, 2 r y_k sqrt(A) > 1, F' > 0 at the lower end and F' < 0 at
-    the upper one.  Such a piece holds two roots when F's maximum is
-    positive, one on each side of it.  Each root is Newton's descent
-    (:func:`_descend`) on the convex -F from a negative end: where F
-    changes sign, from the negative end toward the other; where both ends
-    are negative, from the lower end toward the upper one, and if that
-    finds a root, from the upper end back to it.  The tangent of -F bounds
-    it from below, so a descent that ends at the far end certifies that
-    the piece holds no root there, with no width and no bracket.
+    at most two roots.  Only a rising root, where F turns nonnegative as t
+    grows, can win: along w(t) = (y - t)_+/N on piece k, with
+    N = ||(y - t)_+||, L1 = ||(y - t)_+||_1 and P = A - t B = N^2 + t L1,
+    G = -(r/2) P^2/N^2 + L1/N, and dN^2/dt = -2 L1, dL1/dt = -k give
+    dG/dt = (k N^2 - L1^2)/N^4 * F, where k N^2 >= L1^2 by Cauchy-Schwarz
+    (equal only on the tied top piece k = j below, whose root is rising).
+    So G falls where F < 0 and rises where F > 0.  A falling root is a
+    strict local maximum of G along the path, above the next candidate up:
+    the next rising root, which is scored; for j = 1 the first axis, the
+    direction at t = y_2; for j > 1 with r sqrt(j) <= 1 the block direction
+    e_J/sqrt(j), whose G exceeds the first axis's by
+    (sqrt(j) - 1)(1 - r (sqrt(j) + 1)/2) >= 0.  It never wins or ties.
+
+    Cauchy-Schwarz also gives t >= 1/(r sqrt(A)), so a root below y_k needs
+    r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece passes and only
+    the first axis is scored.  Otherwise one vector pass evaluates F at all
+    breakpoints from the prefix sums; a piece is solved only if F is
+    negative at its lower end and nonnegative at its upper one, or if both
+    ends are negative, 2 r y_k sqrt(A) > 1, F' > 0 at the lower end and
+    F' < 0 at the upper one.  Each takes one Newton descent
+    (:func:`_descend`) on the convex -F from its lower end; one that ends at
+    the upper end of a piece with both ends negative certifies, with no
+    width and no bracket, that the piece holds no root.
 
     A top block y_1 = ... = y_j = 1 makes F(1) = 0 with the zero direction;
     that root never counts.  On piece j, F = (1 - t)(r j t - sqrt(j)), so

@@ -27,14 +27,14 @@ from .core import (
     UNIFORM_RTOL,
     ProxSet,
     Tolerances,
+    _NEG_ATOL,
     _dot,
     _positive_rho,
     effective_tie_tol,
     normalize,
 )
 
-_UNIT_ATOL = 1e-10
-_NEG_ATOL = 1e-12
+_UNIT_ATOL = 1e-10  # on ||w||^2, where core._UNIT_ATOL is on ||w||
 
 
 @dataclass

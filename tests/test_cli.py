@@ -183,6 +183,16 @@ class TestRegionCommand:
         assert code == 2 and out == ""
         assert "out of range" in err
 
+    @pytest.mark.parametrize("xmax", ["nan", "inf"])
+    def test_non_finite_xmax_writes_no_rows(self, capsys, xmax):
+        # rejected with its own message, not as a non-finite vector entry
+        code, out, err = run_cli(
+            capsys,
+            ["region", "--fn", "h1", "--rho", "2", "--xmax", xmax, "--grid", "3", "--mode", "zero-map"],
+        )
+        assert code == 2 and out == ""
+        assert "xmax positive and finite" in err and "Traceback" not in err
+
     def test_include_boundary_ratio_tie(self, capsys):
         code, out, _ = run_cli(
             capsys,
