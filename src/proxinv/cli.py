@@ -49,9 +49,10 @@ _OPERATORS = {
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return as_vector([float(p) for p in text.split(",")])
+        entries = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"malformed vector {text!r}: {exc}") from exc
+    return as_vector(entries)
 
 
 def _tolerances(args) -> Tolerances:

@@ -19,9 +19,11 @@ the full-sphere stationary direction has all entries negative
   concave quadratic minus a convex norm: concave, with at most two roots.
   The direction objective's slope along the threshold path has the sign of
   F, so only a rising root (F turning nonnegative as t grows) can win.  One
-  vector pass evaluates F at every breakpoint from prefix sums and keeps
-  the pieces where F turns nonnegative or, with both ends negative, rises
-  from the lower end and falls to the upper one; on each, one Newton
+  pass evaluates F at every breakpoint from prefix sums (a Python-float
+  loop on short heads, where numpy's per-call cost dominates, a vector pass
+  on long ones; the same bits either way) and keeps the pieces where F
+  turns nonnegative or, with both ends negative, rises from the lower end
+  and falls to the upper one; on each, one Newton
   descent on the convex -F from the lower end finds the rising root or
   shows that there is none (:func:`wstep_h1`).  A tied top block makes F
   vanish at the top breakpoint with the zero direction; that root never
@@ -291,18 +293,34 @@ def _piece(t: float, r: float, sums: tuple[float, float, int]) -> tuple[float, f
     return n - r * t * q, -(r * (q - t * B) + (B - k * t) / n)
 
 
+#: longest head whose breakpoint scan runs in Python floats.  The thirty-odd
+#: numpy calls of :func:`_scan_vector` cost 23-25 us at any short head on a
+#: 2-vCPU Xeon VM, the loop of :func:`_scan_floats` about 0.5 us a breakpoint
+#: (2.4 us at m = 3, 7.2 us at m = 10, without descents); they meet near
+#: m = 44, the cut leaves a margin, and at m = 100 the loop is 2x slower
+_SHORT_SCAN = 32
+
+
 def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
     """Every rising root t of F with its support size k, in increasing k,
     for the breakpoints y (ending in 0) and r = rho*x1^2: the screen, then
-    one descent per kept piece from its lower end (see :func:`wstep_h1`)."""
+    one descent per kept piece from its lower end (see :func:`wstep_h1`).
+    Heads of at most ``_SHORT_SCAN`` entries take :func:`_scan_floats`,
+    longer ones :func:`_scan_vector`; the two give the same bits."""
+    j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+    roots = []
+    if j > 1 and y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
+        roots.append((j, 1.0 / (r * math.sqrt(j))))
+    scan = _scan_floats if y.size <= _SHORT_SCAN + 1 else _scan_vector
+    return roots + scan(y, r, j)
+
+
+def _scan_vector(y: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
+    """The rising roots on the pieces below a top block of j entries, by one
+    vector pass over the breakpoints."""
     m = y.size - 1
     A, B = (y * y).cumsum(), y.cumsum()  # A[k-1], B[k-1]: over the top k
     roots = []
-
-    j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
-    if j > 1 and y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
-        roots.append((j, 1.0 / (r * math.sqrt(j))))
-
     # F at the breakpoints t[i] = y_{j+1+i}, i = 0..m-j, on the piece j + i
     # below each; the piece j + 1 + p spans [t[p + 1], t[p]]
     t = y[j:]
@@ -326,6 +344,53 @@ def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
         root = _descend(_piece, lo, hi, r, (float(Ak[p + 1]), float(Bk[p + 1]), kk))
         if rise[p] or root < hi:  # a rising root may be hi, where F(hi) = 0
             roots.append((kk, root))
+    return roots
+
+
+def _scan_floats(y: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
+    """:func:`_scan_vector` in Python floats, one breakpoint at a time.
+
+    The prefix sums run in the order of numpy's sequential ``cumsum``, and F,
+    its end slopes and the screens use the same expressions in the same
+    order (the floor of N^2 as ``np.maximum`` takes it); every step is a
+    correctly rounded +, -, *, / or sqrt in both, so the roots and the
+    descents are the same bits.
+    """
+    y = y.tolist()
+    sqrt = math.sqrt
+    A = B = 0.0
+    for v in y[:j]:
+        A += v * v
+        B += v
+    roots = []
+    # the breakpoint t = y_{j+1} on the top piece; then, at each t = y_{k+1},
+    # the piece k spans [t, hi] with the sums A, B over its top k entries
+    hi = y[j]
+    q_hi = A - hi * B
+    n_hi = q_hi - hi * (B - j * hi)
+    n_hi = sqrt(n_hi if n_hi > _N2_FLOOR else _N2_FLOOR)
+    neg_hi = r * hi * q_hi - n_hi < 0.0
+    k = j
+    for t in y[j + 1 :]:
+        k += 1
+        A += hi * hi
+        B += hi
+        q = A - t * B
+        n = q - t * (B - k * t)
+        n = sqrt(n if n > _N2_FLOOR else _N2_FLOOR)
+        neg = r * t * q - n < 0.0
+        if neg and (
+            not neg_hi
+            or (
+                2.0 * r * hi * sqrt(A) > 1.0
+                and r * (q - t * B) + (B - k * t) / n > 0.0
+                and r * (q_hi - hi * B) + (B - k * hi) / n_hi < 0.0
+            )
+        ):
+            root = _descend(_piece, t, hi, r, (A, B, k))
+            if not neg_hi or root < hi:  # a rising root may be hi, where F(hi) = 0
+                roots.append((k, root))
+        hi, q_hi, n_hi, neg_hi = t, q, n, neg
     return roots
 
 
@@ -362,8 +427,12 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
 
     Cauchy-Schwarz also gives t >= 1/(r sqrt(A)), so a root below y_k needs
     r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece passes and only
-    the first axis is scored.  Otherwise one vector pass evaluates F at all
-    breakpoints from the prefix sums; a piece is solved only if F is
+    the first axis is scored.  Otherwise one pass evaluates F at all
+    breakpoints from the prefix sums: a loop in Python floats on heads of at
+    most ``_SHORT_SCAN`` entries, where numpy's per-call cost would dominate,
+    and a numpy vector pass on longer ones, where the loop's per-breakpoint
+    cost would.  Both form the same sums and expressions in the same order,
+    so they give the same bits.  A piece is solved only if F is
     negative at its lower end and nonnegative at its upper one, or if both
     ends are negative, 2 r y_k sqrt(A) > 1, F' > 0 at the lower end and
     F' < 0 at the upper one.  Each takes one Newton descent
@@ -376,7 +445,10 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     its one root t = 1/(r sqrt(j)) is taken in closed form.
 
     Every root is scored by :func:`objective_G_h1` on its own unit
-    direction, together with the first axis (the k = 1 piece); the first
+    direction, together with the first axis (the k = 1 piece).  A root at
+    its piece's upper end y_k has the direction of support k - 1; where that
+    is e1 (k = 2) or the tied block's (k = j + 1, after its closed-form
+    root), it is dropped, so no direction is listed twice.  The first
     lowest objective wins and the other scored directions are returned as
     ``rivals``, so the decision step keeps every direction that ties.
 
@@ -413,7 +485,14 @@ def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
     e1 = np.zeros(m)
     e1[0] = 1.0
     scored = [(e1, -0.5 * rho * x1 * x1 + 1.0)]
+    last = 1  # the support of the last scored direction
     for kk, tk in roots:
+        # a root at its piece's upper end y_k has the direction of support
+        # k - 1; on the top block that is e1 (k = 2) or the tied block's
+        # (k = j + 1), scored already when it is the last one scored
+        if tk == y[kk - 1] and y[kk - 2] == 1.0 and last == kk - 1:
+            continue
+        last = kk
         w = np.zeros(m)
         w[:kk] = y[:kk] - tk
         w /= math.sqrt(_dot(w, w))

@@ -53,6 +53,14 @@ class TestProxCommand:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fn", ["l0", "h1", "h2"])
+    def test_overflowing_sum(self, capsys, fn):
+        # finite entries: no "malformed" tag and no overflow warning
+        code, _, err = run_cli(capsys, ["prox", "--fn", fn, "--rho", "1", "--x", "1e308,1e308,1e308"])
+        assert code == 2
+        assert err.strip() == "input magnitude out of range: sum of |x| overflows (max |x| = 1e+308)"
+
     def test_nonpositive_rho(self, capsys):
         code, _, err = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "-1", "--x", "1,2"])
         assert code == 2

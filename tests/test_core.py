@@ -122,17 +122,17 @@ class TestOnePassCheck:
         "object-non-number": np.array([3.0, {}], dtype=object),
     }
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_full_check(self, name):
         x = self.CASES[name]
-        with np.errstate(over="ignore"):  # the full check's sum of |x| may overflow
-            try:
-                want = _descending_vector_reference(x)
-            except Exception as exc:
-                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    descending_vector(x)
-                return
-            got = descending_vector(x)
+        try:
+            want = _descending_vector_reference(x)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                descending_vector(x)
+            return
+        got = descending_vector(x)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert (got is x) == (want is x)  # x itself, uncopied, exactly where the full check returns it
@@ -652,6 +652,25 @@ class TestMagnitudeRange:
         message = "input magnitude out of range: rho * sum(x) underflows to zero"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             h2_spectrum(normalize(x)[0], rho)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("op", ["prox_l0", "prox_h1", "prox_h2"])
+    @pytest.mark.parametrize(
+        "x, top",
+        [(np.full(3, 1e308), "1e+308"), (np.array([-1e308, 0.0, 9e307]), "1e+308"), (np.full(20, 1e307), "1e+307")],
+    )
+    def test_overflowing_sum_rejected(self, op, x, top):
+        # finite entries whose |x| sum overflows: a magnitude error naming the
+        # largest entry, with no overflow warning before it
+        message = f"input magnitude out of range: sum of |x| overflows (max |x| = {top})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(proxinv, op)(x, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [np.full(10, 1e307), np.array([1.7e308, 1e-300]), np.array([1e308, -7e307])])
+    def test_largest_finite_sums_accepted(self, x):
+        # past n * max|x| = 1e307 the sum decides, quietly
+        assert as_vector(x).tobytes() == x.tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rho", [1.0, 1e-320])

@@ -753,6 +753,28 @@ def reference_corpus(rng, count):
     return cases
 
 
+#: heads whose scan puts a rising root at the upper end y_k of a piece on the
+#: top block, so that its direction repeats a scored one: e1 at k = 2 (a
+#: near-uniform head whose two points at tie_tol 0.9 were both x1 e1), and
+#: the tied block's at k = j + 1 (sets that listed the block point twice at
+#: the default tie_tol)
+REPEAT_CASES = [
+    (
+        [
+            0.016978586521812136, 0.016978586519664298, 0.01697858650890292, 0.01697858648032268,
+            0.01697858645257586, 0.016978586443171212, 0.016978586431679855, 0.016978586427474504,
+            0.016978586425276478, 0.016978586406658218,
+        ],
+        6188.907495397949,
+    ),
+    ([1.0, 1.0, 1.0, 1.0, 0.319262965878422, 0.236493557612853, 0.08931292707308076], 1.566107107425683),
+    (
+        [1.0, 1.0, 0.144378718221444, 0.12533492268562615, 0.04832549984588753, 0.04106848853934201],
+        4.8975831749801735,
+    ),
+]
+
+
 def gather_screen_wstep_h1(x, rho, descents):
     """wstep_h1 before the trusted kernel, kept as a reference: the first
     axis scored as a length-m unit vector by the objective, the end-slope
@@ -809,8 +831,14 @@ def gather_screen_wstep_h1(x, rho, descents):
             if root < hi:
                 seen.add("both_negative_root")
                 roots.append((j + 1 + p, root))
-    scored = []
+    scored, last = [], 0
     for kk, tk in [(1, 0.0)] + roots:
+        # a root at the upper end y_k of a piece on the top block repeats the
+        # last scored direction: e1 (k = 2) or the tied block's (k = j + 1)
+        if kk > 1 and tk == y[kk - 1] and y[kk - 2] == 1.0 and last == kk - 1:
+            seen.add("repeat_dropped")
+            continue
+        last = kk
         w = np.zeros(m)
         w[:kk] = y[:kk] - tk
         w /= math.sqrt(_dot(w, w))
@@ -838,10 +866,12 @@ class TestSupportScan:
         # the pinned input at five scales (the scan sees x/x1 and rho*x1^2,
         # so each keeps its two pieces with both ends negative)
         cases = [(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
+        # and the repeat heads at power-of-two scales, which keep y and r
+        cases += [(np.array(x) * c, rho / (c * c)) for x, rho in REPEAT_CASES for c in (1.0, 0.5, 4.0)]
         cases += reference_corpus(rng, 1500)
         names = (
             "both_negative", "both_negative_descent", "both_negative_root", "falling_skipped",
-            "tied_top", "first_axis", "root",
+            "tied_top", "first_axis", "root", "repeat_dropped",
         )
         seen = dict.fromkeys(names, 0)
         for x, rho in cases:
@@ -1213,6 +1243,126 @@ class TestScanDescent:
             if t != stop:
                 f, d = piece(t, r, sums)
                 assert f <= 0.0 or t - f / d == t, (t, r, sums)
+
+
+def breakpoints(x, rho):
+    """(y, r) as :func:`_wstep_h1` hands them to the scan."""
+    y = np.zeros(x.size + 1)
+    np.divide(x, float(x[0]), out=y[:-1])
+    return y, rho * float(x[0]) ** 2
+
+
+def pass_corpus():
+    """(y, r) for every m = 3 .. 2 _SHORT_SCAN: Gaussian, tied-top (j >= 2),
+    near-uniform 1 + 10^[-11, -2] u and two-level heads, three of each kind,
+    with rho over four decades around 2 sqrt(m)/||x||^2; and the pinned
+    both-negative input at five scales."""
+    pinned = np.array([1.35, 0.95, 0.85, 0.65, 0.15])
+    cases = [breakpoints(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
+    rng = np.random.default_rng(79)
+    for m in range(3, 2 * proxinv.h1._SHORT_SCAN + 1):
+        for _ in range(3):
+            gauss = np.abs(rng.standard_normal(m))
+            tied = gauss.copy()
+            tied[: int(rng.integers(2, m))] = gauss.max()
+            near = 1.0 + 10.0 ** rng.uniform(-11.0, -2.0) * rng.random(m)
+            k = int(rng.integers(1, m))
+            twolevel = np.concatenate([np.ones(k), np.full(m - k, rng.uniform(0.05, 0.99))])
+            for x in (gauss, tied, near, twolevel):
+                x = np.sort(x)[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
+                rho = 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(m) / float(x @ x)
+                cases.append(breakpoints(x, rho))
+    return cases
+
+
+class TestScanPasses:
+    """The Python-float pass of short heads and the vector pass of long ones
+    give the same bits: numpy's cumsum is a sequential running sum, and its
+    arithmetic and sqrt are correctly rounded, as Python's are."""
+
+    def run_pass(self, monkeypatch, cut, y, r):
+        descents = []
+
+        def recording(fd, t, stop, u, v):
+            descents.append(tuple(map(repr, (t, stop, u, *v))))
+            return _descend(fd, t, stop, u, v)
+
+        monkeypatch.setattr(proxinv.h1, "_descend", recording)
+        monkeypatch.setattr(proxinv.h1, "_SHORT_SCAN", cut)
+        roots = [(k, repr(t)) for k, t in proxinv.h1._roots(y, r)]
+        return roots, descents
+
+    def test_passes_agree(self, monkeypatch):
+        roots = tied = empty = 0
+        for y, r in pass_corpus():
+            floats = self.run_pass(monkeypatch, y.size, y, r)
+            vector = self.run_pass(monkeypatch, 0, y, r)
+            assert floats == vector, (y.size - 1, r)
+            found, descents = floats
+            roots += len(found)
+            tied += y[1] == 1.0
+            # descents that find no root: pieces with both ends negative
+            empty += sum(d[-1] not in {repr(k) for k, _ in found} for d in descents)
+        assert roots > 500 and tied > 150 and empty > 20, (roots, tied, empty)
+
+    def test_cut(self, monkeypatch):
+        # m = _SHORT_SCAN takes the loop, m + 1 the vector pass
+        cut = proxinv.h1._SHORT_SCAN
+        taken = []
+        for name in ("_scan_floats", "_scan_vector"):
+            scan = getattr(proxinv.h1, name)
+
+            def recording(y, r, j, name=name, scan=scan):
+                taken.append((y.size - 1, name))
+                return scan(y, r, j)
+
+            monkeypatch.setattr(proxinv.h1, name, recording)
+        for m in (3, cut, cut + 1, 2 * cut):
+            x = np.linspace(2.0, 1.0, m)
+            _wstep_h1(x, 2.0 * np.sqrt(m) / float(x @ x))
+        assert taken == [(3, "_scan_floats"), (cut, "_scan_floats"), (cut + 1, "_scan_vector"), (2 * cut, "_scan_vector")]
+
+
+def assert_repeat_free(ps, where):
+    for i, p in enumerate(ps.points):
+        assert not any(np.array_equal(p, q) for q in ps.points[:i]), where
+
+
+class TestRepeatFree:
+    """No ``prox_h1`` set lists a point twice: a rising root at the upper end
+    of a piece on the top block has the direction of e1 or of the tied block,
+    scored already, and is dropped."""
+
+    @pytest.mark.parametrize("tie_tol", [None, 0.3, 0.9])
+    def test_pinned_heads(self, tie_tol):
+        tol = tie_tol and Tolerances(tie_tol)
+        for x, rho in REPEAT_CASES:
+            x = np.array(x)
+            ps = prox_h1(x, rho, tol)
+            assert_repeat_free(ps, (x.size, tie_tol))
+            signed = prox_h1(-x[::-1], rho, tol)
+            assert_repeat_free(signed, (x.size, tie_tol))
+            assert len(signed.points) == len(ps.points)
+            if x.size == 10 and tie_tol == 0.9:
+                # the full support and x1 e1, once
+                assert [np.count_nonzero(p) for p in ps.points] == [10, 1]
+            elif x.size < 10:
+                # the tied block's point first, then x1 e1 at tie_tol 0.9
+                j = int(np.count_nonzero(x == 1.0))
+                want = [j, 1] if tie_tol == 0.9 else [j]
+                assert [np.count_nonzero(p) for p in ps.points] == want
+
+    @pytest.mark.parametrize("tie_tol", [0.3, 0.9])
+    def test_near_uniform_heads(self, tie_tol):
+        # a scan that scores the upper-end roots too lists x1 e1 twice in 114
+        # of these 4,000 sets at tie_tol 0.9
+        rng = np.random.default_rng(78)
+        for _ in range(2000):
+            x = np.sort(1.0 + 10.0 ** rng.uniform(-11.0, -2.0) * rng.random(10))[::-1]
+            x *= 10.0 ** rng.uniform(-3.0, 3.0)
+            rho = 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(10.0) / float(x @ x)
+            for v in (x, -x[::-1]):
+                assert_repeat_free(prox_h1(v, rho, Tolerances(tie_tol)), (x.tolist(), rho))
 
 
 def test_large_dimension_runtime():
