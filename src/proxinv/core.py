@@ -55,13 +55,18 @@ def _validated(x) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(x)
     kind = v.dtype.kind
     # a float cast drops imaginary parts, also of the NumPy complex entries
-    # of an object array, and raises TypeError on a Python complex entry
+    # of an object array, raises TypeError on a Python complex entry, and
+    # reads dates and durations as counts of their unit
+    if kind in "mM":
+        raise ValueError("vector entries must be real numbers")
     if kind == "c" or (kind == "O" and any(isinstance(e, _COMPLEX) for e in v.flat)):
         raise ValueError("vector entries must be real, not complex")
     try:
         v = np.asarray(v, dtype=float)
     except TypeError as exc:  # an object entry that is not a number
         raise ValueError(f"vector entries must be real numbers: {exc}") from None
+    except OverflowError:  # an integer past the float range
+        raise ValueError("vector entries must be finite") from None
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
     # a finite largest |x| certifies every entry is finite, and up to
@@ -115,7 +120,10 @@ def _plane_vector(x_sorted) -> np.ndarray:
 
 
 def _positive_rho(rho: float) -> float:
-    rho = float(rho)
+    try:
+        rho = float(rho)
+    except OverflowError:  # an integer past the float range
+        rho = math.inf
     if not math.isfinite(rho) or rho <= 0.0:
         raise ValueError("rho must be a positive finite number")
     return rho
@@ -239,7 +247,7 @@ class Tolerances:
     tie_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (np.isfinite(self.tie_tol) and self.tie_tol > 0.0):
+        if not 0.0 < self.tie_tol < math.inf:  # exact for an int past the float range
             raise ValueError("tie_tol must be a positive finite number")
         if self.tie_tol >= 1.0:
             raise ValueError("tie_tol must be below 1")

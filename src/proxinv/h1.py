@@ -19,15 +19,10 @@ the full-sphere stationary direction has all entries negative
   concave quadratic minus a convex norm: concave, with at most two roots.
   The direction objective's slope along the threshold path has the sign of
   F, so only a rising root (F turning nonnegative as t grows) can win.  One
-  pass evaluates F at every breakpoint from prefix sums (a Python-float
-  loop on short heads, where numpy's per-call cost dominates, a vector pass
-  on long ones; the same bits either way) and keeps the pieces where F
-  turns nonnegative or, with both ends negative, rises from the lower end
-  and falls to the upper one; on each, one Newton
-  descent on the convex -F from the lower end finds the rising root or
-  shows that there is none (:func:`wstep_h1`).  A tied top block makes F
-  vanish at the top breakpoint with the zero direction; that root never
-  counts, and the top piece's real root has a closed form.
+  pass evaluates F at every breakpoint from running sums of the gaps
+  between breakpoints, in which nothing cancels, and one Newton descent on
+  the convex -F solves each piece where F may turn nonnegative
+  (:func:`wstep_h1`); a tied top block's root has a closed form.
 """
 
 from __future__ import annotations
@@ -129,49 +124,44 @@ def _bisect(f, lo: float, hi: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
-#: bound on the steps of :func:`_descend`, which stops well before it; only
-#: where rounding makes F noisy near the root (near-uniform heads) do the
-#: last steps crawl by an ulp or two: at most 73 steps on 29,000 sorted heads
+#: bound on the steps of :func:`_descend`, which stops well before it: at
+#: most 18 evaluations of F in a scan descent on 29,005 sorted heads of seven
+#: kinds, and 14 on 2,200 near-uniform ones, n = 3..3000
 _NEWTON_CAP = 100
 
 
 def _descend(fd, t: float, stop: float, u, v) -> float:
-    """Root of a convex F nearest ``t`` toward ``stop``, where F(t) > 0, or
-    ``stop`` where F has none before it; ``fd(t, u, v)`` gives F and F'.
+    """Root of a convex F nearest below ``t``, where F(t) > 0, or ``stop``
+    <= t where F has none above it; ``fd(t, u, v)`` gives F and F'.
 
     Newton's method from t.  The tangent at an iterate lies below the convex
-    F.  So if it does not head toward ``stop`` (F' of the wrong sign, or
-    zero), or its zero lies at or past ``stop``, F stays positive all the
-    way to ``stop``: there is no root.  Otherwise, for a root s, the chord
-    bound gives |F'(t)| >= F(t)/|t - s|, so the Newton point t - F/F' lies
-    between t and s: the iterates move monotonically to the nearest root
-    (Ortega and Rheinboldt, *Iterative Solution of Nonlinear Equations in
-    Several Variables*, 1970, 13.3).  The descent stops at the first iterate
-    with F <= 0, or whose Newton point does not move in floats.  Past
-    ``_NEWTON_CAP`` steps, bisection stands in: on F' for F's minimum
-    between the iterate and ``stop``, then on F between that minimum and
-    the iterate, if F is negative there.
+    F.  So if it does not head down (F' <= 0), or its zero lies at or below
+    ``stop``, F stays positive down to ``stop``: there is no root.
+    Otherwise, for a root s, the chord bound gives F'(t) >= F(t)/(t - s), so
+    the Newton point t - F/F' lies between s and t: the iterates fall
+    monotonically to the nearest root (Ortega and Rheinboldt, *Iterative
+    Solution of Nonlinear Equations in Several Variables*, 1970, 13.3).  The
+    descent stops at the first iterate with F <= 0, or whose Newton point
+    does not move in floats.  Past ``_NEWTON_CAP`` steps, bisection stands
+    in: on F' for F's minimum above ``stop``, then, if F is negative there,
+    on F between that minimum and the iterate.
     """
-    down = stop < t
     for _ in range(_NEWTON_CAP):
         f, d = fd(t, u, v)
         if f <= 0.0:
             return t
-        if not (d > 0.0 if down else d < 0.0):
+        if not d > 0.0:
             return stop
         new = t - f / d
         if new == t:
             return t
-        if new <= stop if down else new >= stop:
+        if new <= stop:
             return stop
         t = new
-    lo, hi = (stop, t) if down else (t, stop)
-    t0 = _bisect(lambda s: fd(s, u, v)[1], lo, hi, _ROOT_TOL)
+    t0 = _bisect(lambda s: fd(s, u, v)[1], stop, t, _ROOT_TOL)
     if fd(t0, u, v)[0] >= 0.0:
         return stop
-    if down:
-        return _bisect(lambda s: fd(s, u, v)[0], t0, t, _ROOT_TOL)
-    return _bisect(lambda s: -fd(s, u, v)[0], t, t0, _ROOT_TOL)
+    return _bisect(lambda s: fd(s, u, v)[0], t0, t, _ROOT_TOL)
 
 
 def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
@@ -277,120 +267,114 @@ def prox_h1_axis(alpha: float, rho: float, tol: Tolerances | None = None) -> Pro
     return prox_h1_uniform(alpha, 1, rho, tol).map_points(lambda p: np.append(p, 0.0))
 
 
-#: floor of N(t)^2 under the square root: where cancellation in the prefix
-#: sums rounds a small N^2 to zero or below, N stays positive and F' finite
-_N2_FLOOR = 1e-200
-
-
-def _piece(t: float, r: float, sums: tuple[float, float, int]) -> tuple[float, float]:
-    """-F and -F' at t on the support piece of size k, for sums = (A, B, k)
-    with A and B the sums of y_i^2 and y_i over the top k entries: there
-    <y, (y - t)_+> = A - t B and ||(y - t)_+||^2 = A - 2 t B + k t^2.  The
-    negated F is convex on the piece, as :func:`_descend` needs."""
-    A, B, k = sums
-    q = A - t * B
-    n = math.sqrt(max(q - t * (B - k * t), _N2_FLOOR))
-    return n - r * t * q, -(r * (q - t * B) + (B - k * t) / n)
+def _piece(s: float, r: float, sums: tuple[float, float, float, int]) -> tuple[float, float]:
+    """-F, convex in s as :func:`_descend` needs, and its slope F' = dF/dt
+    at t = y_k - s on the support piece k, for sums = (y_k, N^2_{k-1},
+    L_{k-1}, k) (see :func:`wstep_h1`); <y, (y - t)_+> = N^2 + t L1."""
+    yk, n2, L, k = sums
+    L1 = L + k * s
+    n2 += s * (L + L1)
+    t = yk - s
+    n = math.sqrt(n2)
+    return n - r * t * (n2 + t * L1), r * (n2 - k * t * t) + L1 / n
 
 
 #: longest head whose breakpoint scan runs in Python floats.  The thirty-odd
-#: numpy calls of :func:`_scan_vector` cost 23-25 us at any short head on a
-#: 2-vCPU Xeon VM, the loop of :func:`_scan_floats` about 0.5 us a breakpoint
-#: (2.4 us at m = 3, 7.2 us at m = 10, without descents); they meet near
-#: m = 44, the cut leaves a margin, and at m = 100 the loop is 2x slower
+#: numpy calls of :func:`_scan_vector` cost 24-30 us at any short head on a
+#: 2-vCPU Xeon VM, the loop of :func:`_scan_floats` about 0.7 us a breakpoint
+#: (2.7 us at m = 3, 7.4 us at m = 10, without descents); they meet near
+#: m = 40, the cut leaves a margin, and at m = 100 the loop is 2x slower
 _SHORT_SCAN = 32
 
 
-def _roots(y: np.ndarray, r: float) -> list[tuple[int, float]]:
-    """Every rising root t of F with its support size k, in increasing k,
-    for the breakpoints y (ending in 0) and r = rho*x1^2: the screen, then
-    one descent per kept piece from its lower end (see :func:`wstep_h1`).
+def _roots(x: np.ndarray, r: float) -> list[tuple[int, float]]:
+    """Every rising root of F as (k, s), t = y_k - s on the support piece k,
+    in increasing k, for the head x and r = rho*x1^2 (see :func:`wstep_h1`).
     Heads of at most ``_SHORT_SCAN`` entries take :func:`_scan_floats`,
     longer ones :func:`_scan_vector`; the two give the same bits."""
-    j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+    x1 = float(x[0])
+    j = 1 if x[1] < x1 else int(np.count_nonzero(x == x1))
     roots = []
-    if j > 1 and y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
-        roots.append((j, 1.0 / (r * math.sqrt(j))))
-    scan = _scan_floats if y.size <= _SHORT_SCAN + 1 else _scan_vector
-    return roots + scan(y, r, j)
+    t = 1.0 / (r * math.sqrt(j))  # the tied block's closed-form root
+    if j > 1 and (x[j] / x1 if j < x.size else 0.0) <= t < 1.0:
+        roots.append((j, 1.0 - t))
+    scan = _scan_floats if x.size <= _SHORT_SCAN else _scan_vector
+    return roots + scan(x, r, j)
 
 
-def _scan_vector(y: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
+def _scan_vector(x: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
     """The rising roots on the pieces below a top block of j entries, by one
     vector pass over the breakpoints."""
-    m = y.size - 1
-    A, B = (y * y).cumsum(), y.cumsum()  # A[k-1], B[k-1]: over the top k
-    roots = []
-    # F at the breakpoints t[i] = y_{j+1+i}, i = 0..m-j, on the piece j + i
-    # below each; the piece j + 1 + p spans [t[p + 1], t[p]]
-    t = y[j:]
+    m, x1 = x.size, float(x[0])
+    # at the breakpoints t[i] = y_{k+1}, k = j + i = j..m (y_{m+1} = 0), on
+    # the piece k above each: the gaps g_k = (x_k - x_{k+1})/x1, L_k and
+    # N^2_k = N^2_{k-1} + g_k (L_{k-1} + L_k), from L_{j-1} = N^2_{j-1} = 0
+    z = np.zeros(m + 2 - j)  # x_j, ..., x_m, 0
+    z[:-1] = x[j - 1 :]
+    t, g = z[1:] / x1, (z[:-1] - z[1:]) / x1
     k = np.arange(j, m + 1.0)
-    Ak, Bk = A[j - 1 : m], B[j - 1 : m]
-    q = Ak - t * Bk
-    n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
-    f = r * t * q - n
-    neg = f < 0.0
+    L = (k * g).cumsum()
+    n2 = (g * np.concatenate((L[:1], L[1:] + L[:-1]))).cumsum()
+    q = n2 + t * L
+    n = np.sqrt(n2)
+    neg = r * t * q - n < 0.0
+    # the piece j + 1 + p spans [t[p + 1], t[p]]
     rise = neg[1:] & ~neg[:-1]
     both = neg[1:] & neg[:-1]
-    both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
     if both.any():
-        # a maximum inside a piece needs F' > 0 at its lower end and < 0 at
-        # its upper one
-        a, b, kp, bp = t[1:], t[:-1], k[1:], Bk[1:]
-        both &= r * (q[1:] - a * bp) + (bp - kp * a) / n[1:] > 0.0
-        both &= r * (q[:-1] - b * bp) + (bp - kp * b) / n[:-1] < 0.0
+        # a maximum inside a piece needs 2 r y_k sqrt(A) > 1 (A the sum of
+        # y_i^2 over its top k), F' > 0 at its lower end and F' < 0 at its
+        # upper one.  F' = r (N^2 - k t^2) + L/N at each breakpoint on the
+        # piece above it; on the piece below, one r t^2 less
+        kt = k * t
+        d = r * (n2 - kt * t) + L / n
+        both &= 2.0 * r * t[:-1] * np.sqrt(q[1:] + t[1:] * (L[1:] + kt[1:])) > 1.0
+        both &= d[1:] > 0.0
+        both &= d[:-1] - r * t[:-1] * t[:-1] < 0.0
+    roots = []
     for p in (rise | both).nonzero()[0].tolist():
-        kk, lo, hi = j + 1 + p, float(t[p + 1]), float(t[p])
-        root = _descend(_piece, lo, hi, r, (float(Ak[p + 1]), float(Bk[p + 1]), kk))
-        if rise[p] or root < hi:  # a rising root may be hi, where F(hi) = 0
-            roots.append((kk, root))
+        sums = (float(t[p]), float(n2[p]), float(L[p]), j + 1 + p)
+        s = _descend(_piece, float(g[p + 1]), 0.0, r, sums)
+        if rise[p] or s > 0.0:  # a rising root may be s = 0, where F(y_k) = 0
+            roots.append((j + 1 + p, s))
     return roots
 
 
-def _scan_floats(y: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
-    """:func:`_scan_vector` in Python floats, one breakpoint at a time.
-
-    The prefix sums run in the order of numpy's sequential ``cumsum``, and F,
-    its end slopes and the screens use the same expressions in the same
-    order (the floor of N^2 as ``np.maximum`` takes it); every step is a
-    correctly rounded +, -, *, / or sqrt in both, so the roots and the
-    descents are the same bits.
-    """
-    y = y.tolist()
+def _scan_floats(x: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
+    """:func:`_scan_vector` in Python floats, one breakpoint at a time: the
+    running sums follow numpy's sequential ``cumsum``, and every expression
+    is the vector pass's in the same order, each step a correctly rounded
+    +, -, *, / or sqrt, so the roots and the descents are the same bits."""
+    xs = x.tolist()
+    xs.append(0.0)
+    x1 = xs[0]
     sqrt = math.sqrt
-    A = B = 0.0
-    for v in y[:j]:
-        A += v * v
-        B += v
     roots = []
-    # the breakpoint t = y_{j+1} on the top piece; then, at each t = y_{k+1},
-    # the piece k spans [t, hi] with the sums A, B over its top k entries
-    hi = y[j]
-    q_hi = A - hi * B
-    n_hi = q_hi - hi * (B - j * hi)
-    n_hi = sqrt(n_hi if n_hi > _N2_FLOOR else _N2_FLOOR)
-    neg_hi = r * hi * q_hi - n_hi < 0.0
-    k = j
-    for t in y[j + 1 :]:
-        k += 1
-        A += hi * hi
-        B += hi
-        q = A - t * B
-        n = q - t * (B - k * t)
-        n = sqrt(n if n > _N2_FLOOR else _N2_FLOOR)
+    # at each breakpoint t = y_{k+1}, k = j..m, the lower end of the piece
+    # k = [t, hi]; L and N^2 are 0 on the tied block, whose piece is skipped
+    up, L, n2 = x1, 0.0, 0.0
+    for k in range(j, len(xs)):
+        low = xs[k]
+        g = (up - low) / x1
+        Lp, n2p = L, n2
+        L = Lp + k * g
+        n2 = n2p + g * (L + Lp)
+        t = low / x1
+        n = sqrt(n2)
+        q = n2 + t * L
         neg = r * t * q - n < 0.0
-        if neg and (
+        if neg and k > j and (
             not neg_hi
             or (
-                2.0 * r * hi * sqrt(A) > 1.0
-                and r * (q - t * B) + (B - k * t) / n > 0.0
-                and r * (q_hi - hi * B) + (B - k * hi) / n_hi < 0.0
+                2.0 * r * hi * sqrt(q + t * (L + k * t)) > 1.0
+                and r * (n2 - k * t * t) + L / n > 0.0
+                and r * (n2p - (k - 1) * hi * hi) + Lp / n_hi - r * hi * hi < 0.0
             )
         ):
-            root = _descend(_piece, t, hi, r, (A, B, k))
-            if not neg_hi or root < hi:  # a rising root may be hi, where F(hi) = 0
-                roots.append((k, root))
-        hi, q_hi, n_hi, neg_hi = t, q, n, neg
+            s = _descend(_piece, g, 0.0, r, (hi, n2p, Lp, k))
+            if not neg_hi or s > 0.0:  # a rising root may be s = 0, where F(y_k) = 0
+                roots.append((k, s))
+        up, hi, n_hi, neg_hi = low, t, n, neg
     return roots
 
 
@@ -407,15 +391,13 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
 
         F(t) = r t <y, (y - t)_+> - ||(y - t)_+||.
 
-    On the support piece [y_{k+1}, y_k] (prefix sums A = sum y_i^2 and
-    B = sum y_i over the top k) this is the quartic
-    (r t (A - t B))^2 = A - 2 t B + k t^2 restricted to A - t B > 0, where
-    the other factor r t (A - t B) + ||.|| is positive.  F is continuous,
-    and on a piece a concave quadratic minus a convex norm, so concave with
-    at most two roots.  Only a rising root, where F turns nonnegative as t
-    grows, can win: along w(t) = (y - t)_+/N on piece k, with
-    N = ||(y - t)_+||, L1 = ||(y - t)_+||_1 and P = A - t B = N^2 + t L1,
-    G = -(r/2) P^2/N^2 + L1/N, and dN^2/dt = -2 L1, dL1/dt = -k give
+    On the support piece [y_{k+1}, y_k], with N = ||(y - t)_+||,
+    L1 = ||(y - t)_+||_1 and q = <y, (y - t)_+> = N^2 + t L1, this is the
+    quartic (r t q)^2 = N^2 restricted to q > 0.  F is continuous, and on a
+    piece a concave quadratic minus a convex norm, so concave with at most
+    two roots.  Only a rising root, where F turns nonnegative as t grows,
+    can win: along w(t) = (y - t)_+/N on piece k, G = -(r/2) q^2/N^2 + L1/N,
+    and dN^2/dt = -2 L1, dL1/dt = -k give
     dG/dt = (k N^2 - L1^2)/N^4 * F, where k N^2 >= L1^2 by Cauchy-Schwarz
     (equal only on the tied top piece k = j below, whose root is rising).
     So G falls where F < 0 and rises where F > 0.  A falling root is a
@@ -425,32 +407,41 @@ def wstep_h1(x_sorted, rho: float) -> WStepSolution:
     e_J/sqrt(j), whose G exceeds the first axis's by
     (sqrt(j) - 1)(1 - r (sqrt(j) + 1)/2) >= 0.  It never wins or ties.
 
-    Cauchy-Schwarz also gives t >= 1/(r sqrt(A)), so a root below y_k needs
-    r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece passes and only
-    the first axis is scored.  Otherwise one pass evaluates F at all
-    breakpoints from the prefix sums: a loop in Python floats on heads of at
-    most ``_SHORT_SCAN`` entries, where numpy's per-call cost would dominate,
-    and a numpy vector pass on longer ones, where the loop's per-breakpoint
-    cost would.  Both form the same sums and expressions in the same order,
-    so they give the same bits.  A piece is solved only if F is
+    Every sum comes from the gaps g_k = y_k - y_{k+1} = (x_k - x_{k+1})/x1
+    (y_{m+1} = 0): at t = y_{k+1}, L_k = L_{k-1} + k g_k and
+    N^2_k = N^2_{k-1} + g_k (L_{k-1} + L_k); inside piece k, at t = y_k - s,
+    the same with s in [0, g_k] for g_k.  Every term is nonnegative, so
+    each sum has a small relative error (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, ch. 4), where prefix sums of y and
+    y^2 (N^2 = A - 2 t B + k t^2) cancel on near-uniform heads.  L and N^2
+    are 0 on the tied block and N^2 >= N^2_j = j g_j^2 > 0 below it, so N
+    needs no floor.  Cauchy-Schwarz gives t >= 1/(r sqrt(A)), with
+    A = q + t (L1 + k t) the sum of y_i^2 over the top k, so a root below
+    y_k needs r y_k sqrt(A) > 1; when 2 rho x_2 ||x|| <= 1 no piece passes
+    and only the first axis is scored.  Otherwise one pass evaluates F at
+    all breakpoints: a loop in Python floats on heads of at most
+    ``_SHORT_SCAN`` entries, where numpy's per-call cost would dominate, a
+    vector pass on longer ones; both form the same expressions in the same
+    order, so they give the same bits.  A piece is solved only if F is
     negative at its lower end and nonnegative at its upper one, or if both
-    ends are negative, 2 r y_k sqrt(A) > 1, F' > 0 at the lower end and
-    F' < 0 at the upper one.  Each takes one Newton descent
-    (:func:`_descend`) on the convex -F from its lower end; one that ends at
-    the upper end of a piece with both ends negative certifies, with no
-    width and no bracket, that the piece holds no root.
+    ends are negative, 2 r y_k sqrt(A) > 1 and F' = r (N^2 - k t^2) + L1/N
+    is positive at the lower end and negative at the upper one.  Each takes
+    one Newton descent (:func:`_descend`) on the convex -F in s, from
+    s = g_k toward 0; one that ends at s = 0 on a piece with both ends
+    negative certifies, with no width and no bracket, that it has no root.
 
     A top block y_1 = ... = y_j = 1 makes F(1) = 0 with the zero direction;
     that root never counts.  On piece j, F = (1 - t)(r j t - sqrt(j)), so
     its one root t = 1/(r sqrt(j)) is taken in closed form.
 
     Every root is scored by :func:`objective_G_h1` on its own unit
-    direction, together with the first axis (the k = 1 piece).  A root at
-    its piece's upper end y_k has the direction of support k - 1; where that
-    is e1 (k = 2) or the tied block's (k = j + 1, after its closed-form
-    root), it is dropped, so no direction is listed twice.  The first
-    lowest objective wins and the other scored directions are returned as
-    ``rivals``, so the decision step keeps every direction that ties.
+    direction, y_i - t = (x_i - x_k)/x1 + s, together with the first axis
+    (the k = 1 piece).  A root at its piece's upper end (s = 0) has the
+    direction of support k - 1; where that is e1 (k = 2) or the tied
+    block's (k = j + 1, after its closed-form root), it is dropped, so no
+    direction is listed twice.  The first lowest objective wins and the
+    other scored directions are returned as ``rivals``, so the decision
+    step keeps every direction that ties.
 
     This public form checks ``rho`` and the sorted positive head, then runs
     :func:`_wstep_h1`; :func:`prox_h1` calls that kernel directly on the
@@ -469,32 +460,30 @@ def _wstep_h1(x: np.ndarray, rho: float) -> WStepSolution:
     m = x.size
     # the objective is unchanged under x -> x/x1, rho -> rho*x1^2
     x1 = float(x[0])
-    y = np.zeros(m + 1)  # the breakpoints y_1 >= ... >= y_m > y_{m+1} = 0
-    np.divide(x, x1, out=y[:m])
     # a root on the piece k >= 2 needs r y_k sqrt(A_k) > 1, and that is at
     # most rho x_2 ||x||; at or below 1/2 (a factor 2 of margin) no piece can
     # hold one.  Where r = rho x1^2 overflows the screen is skipped: every
     # root then lies below about 1/r, which rounds to 0, so the soft
-    # threshold's t -> 0 limit, the full support y, stands in for them
+    # threshold's t -> 0 limit, the full support (s = y_m), stands in
     r = rho * x1 * x1
     live = m > 1 and r < math.inf and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0
-    roots = _roots(y, r) if live else []
-    if r == math.inf and m > 1 and y[1] > 0.0:
-        roots = [(m, 0.0)]
+    roots = _roots(x, r) if live else []
+    if r == math.inf and m > 1 and x[1] / x1 > 0.0:
+        roots = [(m, x[-1] / x1)]
     # the first axis: <x, e1> = x1 and ||e1||_1 = 1 exactly
     e1 = np.zeros(m)
     e1[0] = 1.0
     scored = [(e1, -0.5 * rho * x1 * x1 + 1.0)]
     last = 1  # the support of the last scored direction
-    for kk, tk in roots:
-        # a root at its piece's upper end y_k has the direction of support
-        # k - 1; on the top block that is e1 (k = 2) or the tied block's
-        # (k = j + 1), scored already when it is the last one scored
-        if tk == y[kk - 1] and y[kk - 2] == 1.0 and last == kk - 1:
+    for kk, s in roots:
+        # a root at its piece's upper end y_k (s = 0) has the direction of
+        # support k - 1; on the top block that is e1 (k = 2) or the tied
+        # block's (k = j + 1), scored already when it is the last one scored
+        if s == 0.0 and x[kk - 2] == x1 and last == kk - 1:
             continue
         last = kk
         w = np.zeros(m)
-        w[:kk] = y[:kk] - tk
+        w[:kk] = (x[:kk] - x[kk - 1]) / x1 + s
         w /= math.sqrt(_dot(w, w))
         scored.append((w, _objective_G_h1(w, x, rho)))
     best = min(range(len(scored)), key=lambda i: scored[i][1])

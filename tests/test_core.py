@@ -717,6 +717,39 @@ class TestMagnitudeRange:
                     except Exception as exc:
                         pytest.fail(f"{fn.__name__}{tuple(args)} raised {exc!r}")
 
+    OPS = ["prox_l0", "prox_h1", "prox_h2"]
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("x", [[10**400, 1], [1.0, -(10**400)], np.array([10**400, 1], dtype=object)])
+    def test_integer_past_float_range_rejected(self, op, x):
+        # the float cast raised OverflowError
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            getattr(proxinv, op)(x, 1.0)
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("rho", [10**400, -(10**400)])
+    def test_rho_past_float_range_rejected(self, op, rho):
+        with pytest.raises(ValueError, match="^rho must be a positive finite number$"):
+            getattr(proxinv, op)([1.0, 0.5], rho)
+
+    def test_tie_tol_past_float_range_rejected(self):
+        # np.isfinite raised TypeError on the integer
+        with pytest.raises(ValueError, match="^tie_tol must be below 1$"):
+            Tolerances(10**400)
+        with pytest.raises(ValueError, match="^tie_tol must be a positive finite number$"):
+            Tolerances(-(10**400))
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize(
+        "x",
+        [np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), np.array([3, 1], dtype="timedelta64[s]")],
+        ids=["datetime64", "timedelta64"],
+    )
+    def test_dates_and_durations_rejected(self, op, x):
+        # a float cast read them as counts of their unit and returned a set
+        with pytest.raises(ValueError, match="^vector entries must be real numbers$"):
+            getattr(proxinv, op)(x, 1.0)
+
 
 def test_proxset_fields():
     names = [f.name for f in dataclasses.fields(ProxSet)]

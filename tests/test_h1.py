@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from proxinv import (
 )
 from proxinv.core import _dot, _objective_G_h1
 from proxinv.h1 import (
-    _N2_FLOOR,
     _NEWTON_CAP,
     _ROOT_TOL,
     _L,
@@ -43,6 +43,10 @@ from proxinv.wrd import WStepSolution
 from helpers import assert_sets_close, best_f, candidates, f_value, sorted_desc
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+#: the floor of N^2 in the scan's earlier prefix-sum form, which the parent
+#: reference ``bracketed_roots`` keeps
+_N2_FLOOR = 1e-200
 
 
 def angle_objective(theta, x, rho):
@@ -779,13 +783,11 @@ def gather_screen_wstep_h1(x, rho, descents):
     """wstep_h1 before the trusted kernel, kept as a reference: the first
     axis scored as a length-m unit vector by the objective, the end-slope
     test run on pieces gathered by index, and the rising root of each kept
-    piece from one upward descent.  Appends the start and stop of every
-    descent to ``descents``; returns the solution and the set of branches
-    taken."""
+    piece from one descent, all on the breakpoint gaps.  Appends the start
+    and stop of every descent to ``descents``; returns the solution and the
+    set of branches taken."""
     m = x.size
     x1 = float(x[0])
-    y = np.zeros(m + 1)
-    np.divide(x, x1, out=y[:m])
     r = rho * x1 * x1
     roots, seen = [], set()
 
@@ -794,53 +796,58 @@ def gather_screen_wstep_h1(x, rho, descents):
         return _descend(_piece, start, stop, r, sums)
 
     if m > 1 and 2.0 * rho * float(x[1]) * math.sqrt(_dot(x, x)) > 1.0:
-        A, B = np.cumsum(y * y), np.cumsum(y)
-        j = 1 if y[1] < 1.0 else int(np.count_nonzero(y == 1.0))
+        j = 1 if x[1] < x1 else int(np.count_nonzero(x == x1))
         if j > 1:
             seen.add("tied_top")
-            if y[j] <= 1.0 / (r * math.sqrt(j)) < 1.0:
-                roots.append((j, 1.0 / (r * math.sqrt(j))))
-        t = y[j:]
+            tj = 1.0 / (r * math.sqrt(j))
+            if (x[j] / x1 if j < m else 0.0) <= tj < 1.0:
+                roots.append((j, 1.0 - tj))
+        xz = np.append(x, 0.0)
+        t = xz[j:] / x1
+        g = (xz[j - 1 : -1] - xz[j:]) / x1
         k = np.arange(j, m + 1.0)
-        Ak, Bk = A[j - 1 : m], B[j - 1 : m]
-        q = Ak - t * Bk
-        n = np.sqrt(np.maximum(q - t * (Bk - k * t), _N2_FLOOR))
+        L = np.cumsum(k * g)
+        n2 = np.cumsum(g * (L + np.r_[0.0, L[:-1]]))
+        q = n2 + t * L
+        n = np.sqrt(n2)
         f = r * t * q - n
         neg = f < 0.0
         rise = neg[1:] & ~neg[:-1]
         if (neg[:-1] & ~neg[1:]).any():
             seen.add("falling_skipped")
         both = neg[1:] & neg[:-1]
-        both &= 2.0 * r * t[:-1] * np.sqrt(Ak[1:]) > 1.0
+        both &= 2.0 * r * t[:-1] * np.sqrt(q[1:] + t[1:] * (L[1:] + k[1:] * t[1:])) > 1.0
         p = both.nonzero()[0]
         if p.size:
             seen.add("both_negative")
-            a, b, kp, bp = t[p + 1], t[p], k[p + 1], Bk[p + 1]
-            da = r * (q[p + 1] - a * bp) + (bp - kp * a) / n[p + 1]
-            db = r * (q[p] - b * bp) + (bp - kp * b) / n[p]
+            a, b, kp = t[p + 1], t[p], k[p + 1]
+            # F' at the lower end, and at the upper end from the piece above
+            # that breakpoint, less r t^2
+            da = r * (n2[p + 1] - kp * a * a) + L[p + 1] / n[p + 1]
+            db = r * (n2[p] - (kp - 1.0) * b * b) + L[p] / n[p] - r * b * b
             both[:] = False
             both[p[(da > 0.0) & (db < 0.0)]] = True
         for p in (rise | both).nonzero()[0].tolist():
-            sums = (float(Ak[p + 1]), float(Bk[p + 1]), j + 1 + p)
-            lo, hi = float(t[p + 1]), float(t[p])
-            root = descend(lo, hi, sums)
+            sums = (float(t[p]), float(n2[p]), float(L[p]), j + 1 + p)
+            root = descend(float(g[p + 1]), 0.0, sums)
             if rise[p]:
                 roots.append((j + 1 + p, root))
                 continue
             seen.add("both_negative_descent")
-            if root < hi:
+            if root > 0.0:
                 seen.add("both_negative_root")
                 roots.append((j + 1 + p, root))
     scored, last = [], 0
-    for kk, tk in [(1, 0.0)] + roots:
-        # a root at the upper end y_k of a piece on the top block repeats the
-        # last scored direction: e1 (k = 2) or the tied block's (k = j + 1)
-        if kk > 1 and tk == y[kk - 1] and y[kk - 2] == 1.0 and last == kk - 1:
+    for kk, s in [(1, 1.0)] + roots:
+        # a root at the upper end y_k of a piece on the top block (s = 0)
+        # repeats the last scored direction: e1 (k = 2) or the tied block's
+        # (k = j + 1)
+        if kk > 1 and s == 0.0 and x[kk - 2] == x1 and last == kk - 1:
             seen.add("repeat_dropped")
             continue
         last = kk
         w = np.zeros(m)
-        w[:kk] = y[:kk] - tk
+        w[:kk] = (x[:kk] - x[kk - 1]) / x1 + s
         w /= math.sqrt(_dot(w, w))
         scored.append((w, _objective_G_h1(w, x, rho)))
     best = min(range(len(scored)), key=lambda i: scored[i][1])
@@ -985,11 +992,14 @@ class TestSupportScan:
             assert len(prox_h1(x, r).points) == 1
 
 
-def bracketed_roots(y, r):
+def bracketed_roots(x, r):
     """``h1._roots`` as it was before the shared descent, kept as a
-    reference: a bracketed Newton search per sign change, and a tangent
-    screen and a bisection for the maximum on pieces with both ends
-    negative."""
+    reference: on the prefix sums of y = x/x1 and y^2, a bracketed Newton
+    search per sign change, and a tangent screen and a bisection for the
+    maximum on pieces with both ends negative.  Each root t on the piece k
+    is handed on as s = y_k - t."""
+    y = np.zeros(x.size + 1)
+    np.divide(x, float(x[0]), out=y[:-1])
 
     def piece(A, B, k):
         def fd(t):
@@ -1063,7 +1073,7 @@ def bracketed_roots(y, r):
             roots.append((j + 1 + p, newton(fd, *((lo, hi) if neg[p + 1] else (hi, lo)))))
         elif (top := peak(fd, lo, hi)) is not None:
             roots += [(j + 1 + p, newton(fd, end, top)) for end in (lo, hi)]
-    return roots
+    return [(k, float(y[k - 1] - t)) for k, t in roots]
 
 
 def descent_corpus():
@@ -1093,13 +1103,13 @@ def assert_prox_sets_match(got, ref, x, rho, point_rtol, g_tol):
 
 
 def scan_roots(monkeypatch, cases):
-    """(y, r, roots) of every ``_roots`` call on ``cases``."""
+    """(x, r, roots) of every ``_roots`` call on ``cases``."""
     found = []
     roots = proxinv.h1._roots
 
-    def recording(y, r):
-        out = roots(y, r)
-        found.append((y, r, out))
+    def recording(x, r):
+        out = roots(x, r)
+        found.append((x, r, out))
         return out
 
     monkeypatch.setattr(proxinv.h1, "_roots", recording)
@@ -1109,31 +1119,59 @@ def scan_roots(monkeypatch, cases):
     return found
 
 
-def scan_F(t, y, r, A, B):
-    """F at t in [0, 1] as the scan rounds it, on the piece of the k entries
-    of y above t (at a breakpoint, the piece above it, as the screen has it)."""
-    k = int(np.count_nonzero(y > t))
-    sums = (float(A[k - 1]), float(B[k - 1]), k) if k else (0.0, 0.0, 0)
-    return -_piece(t, r, sums)[0]
+class ExactScan:
+    """F(t) = r t <y, (y - t)_+> - ||(y - t)_+|| of a head x in exact
+    rationals, y = x/x1 and r as given: x and r are floats, so every
+    quantity below is a dyadic rational, and integers scaled by one power
+    of two carry it.  A threshold is passed as T = t x1."""
 
+    def __init__(self, x, r):
+        self.x = [Fraction(v) for v in x.tolist()]
+        self.x1, self.r = self.x[0], Fraction(r)
 
-def scan_rounding_width(t, r, A, B, k):
-    """4 ulps of t plus 4 rounding errors of F at t over its slope.
+    def sums(self, T):
+        """S = sum Z_i^2, Q = sum x_i Z_i and L = sum Z_i over Z_i = x_i - T > 0,
+        as (S D^2, Q D^2, L D, D) with D the common power-of-two denominator."""
+        d = max(T.denominator, *(v.denominator for v in self.x))
+        tn = T.numerator * (d // T.denominator)
+        xs = [v.numerator * (d // v.denominator) for v in self.x]
+        z = [(v, v - tn) for v in xs if v > tn]
+        return sum(c * c for _, c in z), sum(v * c for v, c in z), sum(c for _, c in z), d
 
-    F = r t (A - t B) - N, N = sqrt((A - t B) - t (B - k t)), rounds each
-    of its sums, so where the root is ill-conditioned (F' small, or N
-    small) no float t is nearer to F's float sign change than this width.
-    Where N^2 is below its own rounding error (near-uniform heads near
-    t = 1), F's float sign says nothing, and the width is infinite.
-    """
-    u = 2.0**-53
-    d = _piece(t, r, (A, B, k))[1]
-    n2, n2_err = A - t * B - t * (B - k * t), 4.0 * u * (A + 2.0 * t * B + k * t * t)
-    if n2 <= n2_err or not d:
-        return math.inf
-    n = math.sqrt(n2)
-    eta = 4.0 * u * r * t * (A + t * B) + n2_err / n + u * n
-    return 4.0 * math.ulp(t) + 4.0 * eta / abs(d)
+    def threshold(self, k, s, d=0.0):
+        """T = x1 (y_k - s - d), exactly."""
+        return self.x[k - 1] - (Fraction(s) + Fraction(d)) * self.x1
+
+    def sign(self, T):
+        """The sign of F at t = T/x1: x1^3 F = r T Q - x1^2 sqrt(S)."""
+        S, Q, _, d = self.sums(T)
+        lhs, rhs = self.r * T * Q * d, self.x1 * self.x1 * d * d  # both times d^3
+        if lhs <= 0:
+            return -1 if lhs < 0 or S else 0
+        lhs, rhs = lhs * lhs, rhs * rhs * S
+        return (lhs > rhs) - (lhs < rhs)
+
+    def width(self, k, s):
+        """Bound on the distance from ``s`` to the nearest exact root, where
+        the scan's F changes sign at ``s`` on the piece k.
+
+        The scan forms L, N^2 and q = N^2 + t L from the gaps, every term
+        nonnegative, so each carries a relative error of at most
+        (2 k + 10) u (Higham 2002, ch. 4; u = 2^-53), and so does r t q and
+        N = sqrt(N^2): F's error is at most eta = (2 k + 10) u (r t q + N).
+        t = y_k - s is off by at most 2 u y_k.  So the scan's sign change is
+        within 2 u y_k + eta/|F'| of an exact one; 4 ulps of s and a factor
+        4 cover the Newton step's last move and F's curvature.
+        """
+        u, r = 2.0**-53, float(self.r)
+        T = self.threshold(k, s)
+        S, Q, L, d = self.sums(T)
+        t, yk = float(T / self.x1), float(self.x[k - 1] / self.x1)
+        n2, q = (float(Fraction(v, d * d) / self.x1**2) for v in (S, Q))
+        L, n = float(Fraction(L, d) / self.x1), math.sqrt(n2)
+        eta = (2 * k + 10) * u * (r * t * q + n)
+        slope = r * (n2 - k * t * t) + L / n
+        return 4.0 * (math.ulp(s) + 2.0 * u * yk + eta / abs(slope))
 
 
 class TestScanDescent:
@@ -1150,37 +1188,38 @@ class TestScanDescent:
             assert_prox_sets_match(got, prox_h1(x, rho), x, rho, 1e-14, 1e-4 * tie)
 
     def test_roots_are_float_roots(self, monkeypatch):
-        # every root is rising: F <= 0 below it and F >= 0 above it, within
-        # its rounding width; no piece gives two roots, and the pieces below
-        # the top block with both ends negative give theirs
+        # every root is rising: the exact F is <= 0 below it and >= 0 above
+        # it, within the width of the gap form's error bound, which is finite
+        # for every root; no piece gives two roots, and the pieces below the
+        # top block with both ends negative give theirs.  Budget: about 0.3 s
+        # on a 2-vCPU VM, the exact signs included.
         found = scan_roots(monkeypatch, descent_corpus())
-        count = inner = resolved = 0
-        for y, r, roots in found:
-            A, B = np.cumsum(y * y), np.cumsum(y)
+        count = inner = 0
+        for x, r, roots in found:
+            exact = ExactScan(x, r)
             ks = [k for k, _ in roots]
-            assert len(set(ks)) == len(ks), (y.size, r, ks)
-            for k, t in roots:
-                w = scan_rounding_width(t, r, float(A[k - 1]), float(B[k - 1]), k)
-                if w < math.inf:
-                    below, above = (scan_F(s, y, r, A, B) for s in (max(t - w, 0.0), min(t + w, 1.0)))
-                    assert below <= 0.0 <= above, (y.size, r, k, t)
-                    resolved += 1
-                lo, hi = float(y[k]), float(y[k - 1])
-                if hi < 1.0 and max(scan_F(lo, y, r, A, B), scan_F(hi, y, r, A, B)) < 0.0:
+            assert len(set(ks)) == len(ks), (x.size, r, ks)
+            for k, s in roots:
+                w = exact.width(k, s)
+                assert w < math.inf, (x.size, r, k, s)
+                below, above = (exact.sign(exact.threshold(k, s, d)) for d in (w, -w))
+                assert below <= 0 <= above, (x.size, r, k, s)
+                hi, lo = exact.x[k - 1], exact.x[k] if k < x.size else Fraction(0)
+                if hi < exact.x1 and max(exact.sign(lo), exact.sign(hi)) < 0:
                     inner += 1
                 count += 1
-        assert resolved > 250 and inner >= 10, (count, resolved, inner)
+        assert count > 250 and inner >= 10, (count, inner)
 
     def test_fallback_past_cap(self, monkeypatch):
         # with the cap at 2 steps the bisections decide, and give the
-        # bracketed search's sets; the scan descends only upward (the
-        # downward fallback is the planar kernel's, tested there)
+        # bracketed search's sets; every scan descent runs down in s, from
+        # the lower end s = g_k of its piece toward s = 0
         cases = descent_corpus()
         descend, bisect = proxinv.h1._descend, proxinv.h1._bisect
         down, fallbacks = [], {False: 0, True: 0}
 
         def recording(fd, t, stop, u, v):
-            down.append(stop < t)
+            down.append(stop <= t)
             return descend(fd, t, stop, u, v)
 
         def counting(f, lo, hi, width):
@@ -1191,7 +1230,7 @@ class TestScanDescent:
         monkeypatch.setattr(proxinv.h1, "_descend", recording)
         monkeypatch.setattr(proxinv.h1, "_bisect", counting)
         ours = [prox_h1(x, rho) for x, rho in cases]
-        assert fallbacks[False] >= 10 and not any(down), fallbacks
+        assert fallbacks[True] >= 10 and all(down), fallbacks
         monkeypatch.setattr(proxinv.h1, "_roots", bracketed_roots)
         for (x, rho), got in zip(cases, ours):
             ref = prox_h1(x, rho)
@@ -1245,20 +1284,18 @@ class TestScanDescent:
                 assert f <= 0.0 or t - f / d == t, (t, r, sums)
 
 
-def breakpoints(x, rho):
-    """(y, r) as :func:`_wstep_h1` hands them to the scan."""
-    y = np.zeros(x.size + 1)
-    np.divide(x, float(x[0]), out=y[:-1])
-    return y, rho * float(x[0]) ** 2
+def scan_args(x, rho):
+    """(x, r) as :func:`_wstep_h1` hands them to the scan."""
+    return x, rho * float(x[0]) ** 2
 
 
 def pass_corpus():
-    """(y, r) for every m = 3 .. 2 _SHORT_SCAN: Gaussian, tied-top (j >= 2),
-    near-uniform 1 + 10^[-11, -2] u and two-level heads, three of each kind,
-    with rho over four decades around 2 sqrt(m)/||x||^2; and the pinned
-    both-negative input at five scales."""
+    """(x, r) for every m = 3 .. 2 _SHORT_SCAN: Gaussian, tied-top (j >= 2),
+    near-uniform 1 + 10^[-11, -2] u, two-level and (from a stream of their
+    own) Cauchy heads, three of each kind, with rho over four decades around
+    2 sqrt(m)/||x||^2; and the pinned both-negative input at five scales."""
     pinned = np.array([1.35, 0.95, 0.85, 0.65, 0.15])
-    cases = [breakpoints(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
+    cases = [scan_args(pinned * c, 0.7783515660155081 / (c * c)) for c in (1.0, 0.5, 3.0, 1e-3, 1e3)]
     rng = np.random.default_rng(79)
     for m in range(3, 2 * proxinv.h1._SHORT_SCAN + 1):
         for _ in range(3):
@@ -1271,7 +1308,13 @@ def pass_corpus():
             for x in (gauss, tied, near, twolevel):
                 x = np.sort(x)[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
                 rho = 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(m) / float(x @ x)
-                cases.append(breakpoints(x, rho))
+                cases.append(scan_args(x, rho))
+    rng = np.random.default_rng(80)
+    for m in range(3, 2 * proxinv.h1._SHORT_SCAN + 1):
+        for _ in range(3):
+            x = np.sort(np.abs(rng.standard_cauchy(m)))[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
+            rho = 10.0 ** rng.uniform(-2.0, 2.0) * 2.0 * np.sqrt(m) / float(x @ x)
+            cases.append(scan_args(x, rho))
     return cases
 
 
@@ -1280,7 +1323,7 @@ class TestScanPasses:
     give the same bits: numpy's cumsum is a sequential running sum, and its
     arithmetic and sqrt are correctly rounded, as Python's are."""
 
-    def run_pass(self, monkeypatch, cut, y, r):
+    def run_pass(self, monkeypatch, cut, x, r):
         descents = []
 
         def recording(fd, t, stop, u, v):
@@ -1289,18 +1332,18 @@ class TestScanPasses:
 
         monkeypatch.setattr(proxinv.h1, "_descend", recording)
         monkeypatch.setattr(proxinv.h1, "_SHORT_SCAN", cut)
-        roots = [(k, repr(t)) for k, t in proxinv.h1._roots(y, r)]
+        roots = [(k, repr(s)) for k, s in proxinv.h1._roots(x, r)]
         return roots, descents
 
     def test_passes_agree(self, monkeypatch):
         roots = tied = empty = 0
-        for y, r in pass_corpus():
-            floats = self.run_pass(monkeypatch, y.size, y, r)
-            vector = self.run_pass(monkeypatch, 0, y, r)
-            assert floats == vector, (y.size - 1, r)
+        for x, r in pass_corpus():
+            floats = self.run_pass(monkeypatch, x.size, x, r)
+            vector = self.run_pass(monkeypatch, 0, x, r)
+            assert floats == vector, (x.size, r)
             found, descents = floats
             roots += len(found)
-            tied += y[1] == 1.0
+            tied += x[1] == x[0]
             # descents that find no root: pieces with both ends negative
             empty += sum(d[-1] not in {repr(k) for k, _ in found} for d in descents)
         assert roots > 500 and tied > 150 and empty > 20, (roots, tied, empty)
@@ -1312,9 +1355,9 @@ class TestScanPasses:
         for name in ("_scan_floats", "_scan_vector"):
             scan = getattr(proxinv.h1, name)
 
-            def recording(y, r, j, name=name, scan=scan):
-                taken.append((y.size - 1, name))
-                return scan(y, r, j)
+            def recording(x, r, j, name=name, scan=scan):
+                taken.append((x.size, name))
+                return scan(x, r, j)
 
             monkeypatch.setattr(proxinv.h1, name, recording)
         for m in (3, cut, cut + 1, 2 * cut):
