@@ -317,7 +317,7 @@ def _scan_vector(x: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
     n2 = (g * np.concatenate((L[:1], L[1:] + L[:-1]))).cumsum()
     q = n2 + t * L
     n = np.sqrt(n2)
-    neg = r * t * q - n < 0.0
+    neg = r * t * q < n
     # the piece j + 1 + p spans [t[p + 1], t[p]]
     rise = neg[1:] & ~neg[:-1]
     both = neg[1:] & neg[:-1]
@@ -330,7 +330,7 @@ def _scan_vector(x: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
         d = r * (n2 - kt * t) + L / n
         both &= 2.0 * r * t[:-1] * np.sqrt(q[1:] + t[1:] * (L[1:] + kt[1:])) > 1.0
         both &= d[1:] > 0.0
-        both &= d[:-1] - r * t[:-1] * t[:-1] < 0.0
+        both &= d[:-1] < r * t[:-1] * t[:-1]
     roots = []
     for p in (rise | both).nonzero()[0].tolist():
         sums = (float(t[p]), float(n2[p]), float(L[p]), j + 1 + p)
@@ -362,13 +362,13 @@ def _scan_floats(x: np.ndarray, r: float, j: int) -> list[tuple[int, float]]:
         t = low / x1
         n = sqrt(n2)
         q = n2 + t * L
-        neg = r * t * q - n < 0.0
+        neg = r * t * q < n
         if neg and k > j and (
             not neg_hi
             or (
                 2.0 * r * hi * sqrt(q + t * (L + k * t)) > 1.0
                 and r * (n2 - k * t * t) + L / n > 0.0
-                and r * (n2p - (k - 1) * hi * hi) + Lp / n_hi - r * hi * hi < 0.0
+                and r * (n2p - (k - 1) * hi * hi) + Lp / n_hi < r * hi * hi
             )
         ):
             s = _descend(_piece, g, 0.0, r, (hi, n2p, Lp, k))

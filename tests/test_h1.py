@@ -824,9 +824,9 @@ def gather_screen_wstep_h1(x, rho, descents):
             # F' at the lower end, and at the upper end from the piece above
             # that breakpoint, less r t^2
             da = r * (n2[p + 1] - kp * a * a) + L[p + 1] / n[p + 1]
-            db = r * (n2[p] - (kp - 1.0) * b * b) + L[p] / n[p] - r * b * b
+            db = r * (n2[p] - (kp - 1.0) * b * b) + L[p] / n[p]
             both[:] = False
-            both[p[(da > 0.0) & (db < 0.0)]] = True
+            both[p[(da > 0.0) & (db < r * b * b)]] = True
         for p in (rise | both).nonzero()[0].tolist():
             sums = (float(t[p]), float(n2[p]), float(L[p]), j + 1 + p)
             root = descend(float(g[p + 1]), 0.0, sums)
