@@ -132,7 +132,7 @@ _NEWTON_CAP = 100
 
 def _descend(fd, t: float, stop: float, u, v) -> float:
     """Root of a convex F nearest below ``t``, where F(t) > 0, or ``stop``
-    <= t where F has none above it; ``fd(t, u, v)`` gives F and F'.
+    where F has none in (stop, t]; ``fd(t, u, v)`` gives F and F'.
 
     Newton's method from t.  The tangent at an iterate lies below the convex
     F.  So if it does not head down (F' <= 0), or its zero lies at or below
