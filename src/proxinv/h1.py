@@ -81,15 +81,7 @@ def L_eval(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float
     half = 0.5 * geom.alpha_angle
     if theta < -1e-12 or theta > half + 1e-12:
         raise ValueError("theta outside [0, alpha/2]")
-    return _L(theta, geom, rho, norm2_sq)
-
-
-def _L(theta: float, geom: R2Geometry, rho: float, norm2_sq: float) -> float:
     return _factor(theta, geom.alpha_angle, _offset(rho, norm2_sq))[0]
-
-
-def _L_prime(theta: float, geom: R2Geometry) -> float:
-    return _factor(theta, geom.alpha_angle, 0.0)[1]
 
 
 def _offset(rho: float, norm2_sq: float) -> float:
@@ -180,29 +172,32 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     no root on (0, half], the first axis is the direction; where
     rho*x1*x2 > 1, L(0) < 0, and that happens only when rounding hides it,
     with the root within rounding of 0.
+
+    The candidates are scored as :func:`wstep_h1` scores them: the first
+    axis in closed form, 1 - (rho/2) x1^2, the bits that
+    :func:`objective_G_h1` gives at e1, and the root by one objective on its
+    direction.  The case split picks the winner; the other candidate is the
+    one ``rival``, so the decision step keeps it where its gap ties.
     """
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
     x1, x2 = float(x[0]), float(x[1])
     kappa = x2 / x1
     a = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
-    c = _offset(rho, x1 * x1 + x2 * x2)
     cross = rho * x1 * x2
-
-    if cross <= 1.0 and kappa <= GOLDEN_RATIO_CONJUGATE:
-        theta_star = 0.0
-    else:
-        theta_star = _descend(_factor, 0.5 * a, 0.0, a, c)
-        # for cross > 1 the unique interior root is the global angle; else
-        # it must beat the first axis
-        if cross <= 1.0 and theta_star > 0.0:
-            w0 = np.array([1.0, 0.0])
-            w1 = np.array([math.cos(theta_star), math.sin(theta_star)])
-            if _objective_G_h1(w0, x, rho) <= _objective_G_h1(w1, x, rho):
-                theta_star = 0.0
-
-    w = np.array([math.cos(theta_star), math.sin(theta_star)])
-    return WStepSolution(w_star=w, g_value=_objective_G_h1(w, x, rho))
+    # the first axis: <x, e1> = x1 and ||e1||_1 = 1 exactly
+    axis = (np.array([1.0, 0.0]), -0.5 * rho * x1 * x1 + 1.0)
+    theta = 0.0
+    if cross > 1.0 or kappa > GOLDEN_RATIO_CONJUGATE:
+        theta = _descend(_factor, 0.5 * a, 0.0, a, _offset(rho, x1 * x1 + x2 * x2))
+    if theta == 0.0:
+        return WStepSolution(w_star=axis[0], g_value=axis[1])
+    w = np.array([math.cos(theta), math.sin(theta)])
+    root = (w, _objective_G_h1(w, x, rho))
+    # for cross > 1 the unique interior root is the global angle; else it
+    # must beat the first axis
+    best, rival = (root, axis) if cross > 1.0 or root[1] < axis[1] else (axis, root)
+    return WStepSolution(w_star=best[0], g_value=best[1], rivals=(rival,))
 
 
 def _s2_threshold(kappa: float, rho: float) -> float:

@@ -144,15 +144,16 @@ def prox_h2_uniform(alpha: float, n: int, rho: float, tol: Tolerances | None = N
 
 def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     """Closed-form planar direction: an arctangent angle when the cross term
-    is active, the first axis otherwise."""
+    is active, the first axis otherwise, with its gap in closed form,
+    1 - (rho/2) x1^2, the bits that :func:`objective_G_h2` gives at e1 (as
+    :func:`wstep_h2` forms it)."""
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
     x1, x2 = float(x[0]), float(x[1])
     cross = rho * x1 * x2
-    if cross > 2.0:
-        theta = 0.5 * math.atan(2.0 * (cross - 2.0) / (rho * (x1 * x1 - x2 * x2)))
-    else:
-        theta = 0.0
+    if cross <= 2.0:
+        return WStepSolution(w_star=np.array([1.0, 0.0]), g_value=1.0 - 0.5 * rho * x1 * x1)
+    theta = 0.5 * math.atan(2.0 * (cross - 2.0) / (rho * (x1 * x1 - x2 * x2)))
     w = np.array([math.cos(theta), math.sin(theta)])
     return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho))
 

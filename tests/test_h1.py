@@ -32,10 +32,10 @@ from proxinv.core import _dot, _objective_G_h1
 from proxinv.h1 import (
     _NEWTON_CAP,
     _ROOT_TOL,
-    _L,
-    _L_prime,
     _bisect,
     _descend,
+    _factor,
+    _offset,
     _piece,
     _wstep_h1,
 )
@@ -194,14 +194,12 @@ class TestConvexFactor:
             assert changes <= 2
 
     def test_slope_sign_at_zero_tracks_kappa(self):
-        from proxinv.h1 import _L_prime
-
         for kappa in (0.1, 0.4, GOLDEN - 1e-9):
             x = np.array([1.0, kappa])
-            assert _L_prime(0.0, r2_geometry(x)) >= -1e-9
+            assert _factor(0.0, r2_geometry(x).alpha_angle, 0.0)[1] >= -1e-9
         for kappa in (GOLDEN + 1e-6, 0.8, 0.95):
             x = np.array([1.0, kappa])
-            assert _L_prime(0.0, r2_geometry(x)) < 0.0
+            assert _factor(0.0, r2_geometry(x).alpha_angle, 0.0)[1] < 0.0
 
     def test_domain_guard(self):
         geom = r2_geometry(np.array([2.0, 1.0]))
@@ -255,14 +253,14 @@ def bisection_wstep_h1_r2(x, rho):
     half = 0.5 * geom.alpha_angle
 
     def L(theta):
-        return _L(theta, geom, rho, s2)
+        return _factor(theta, geom.alpha_angle, _offset(rho, s2))[0]
 
     if rho * x1 * x2 > 1.0:
         theta = _bisect(L, 0.0, half, 1e-12)
     elif geom.kappa <= GOLDEN:
         theta = 0.0
     else:
-        theta0 = _bisect(lambda t: _L_prime(t, geom), 0.0, half, 1e-12)
+        theta0 = _bisect(lambda t: _factor(t, geom.alpha_angle, 0.0)[1], 0.0, half, 1e-12)
         theta = 0.0
         if L(theta0) < 0.0:
             theta1 = _bisect(L, theta0, half, 1e-12)
@@ -344,7 +342,7 @@ def rounding_width(theta, x, rho):
     # |dL/du| ulp(u) + |dL/dv| ulp(v), with both ulps at most ulp(pi/2)
     slopes = abs(math.sin(v) * math.sin(u)) / (cu * cu) + 2.0 * abs(math.cos(v)) / cu
     eta = math.ulp(c) + slopes * math.ulp(0.5 * math.pi)
-    return 4.0 * math.ulp(theta) + 4.0 * eta / _L_prime(theta, geom)
+    return 4.0 * math.ulp(theta) + 4.0 * eta / _factor(theta, geom.alpha_angle, c)[1]
 
 
 def assert_float_root(x, rho, theta):
@@ -504,6 +502,18 @@ class TestPlanarProx:
         ps = prox_h1_r2(np.array([1.5, 0.2]), 2.0)
         assert not ps.contains_zero
         assert np.allclose(ps.points[0], [1.5, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, rho, g",
+        [([1.0, 0.5], 2.00000002, -9.99999993922529e-09), ([3.0, 1.0], 0.3333333337, -0.5000000016500001)],
+    )
+    def test_tying_first_axis_is_listed(self, x, rho, g):
+        # rho*x1*x2 just above 1: the interior root wins, and the first axis
+        # ties with it at the default tie_tol, so it is listed second
+        ps = prox_h1(x, rho)
+        assert not ps.contains_zero and repr(ps.g_value) == repr(g)
+        root, axis = ps.points
+        assert root[1] > 0.0 and np.array_equal(axis, [x[0], 0.0])
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(65)

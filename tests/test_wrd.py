@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from proxinv import (
     DEFAULT_TOLERANCES,
+    Tolerances,
     WStepSolution,
     effective_tie_tol,
     normalize,
@@ -14,9 +16,13 @@ from proxinv import (
     prox_h1_uniform,
     prox_h2_uniform,
     wrd_assemble,
+    wstep_h1_r2,
+    wstep_h2,
+    wstep_h2_r2,
     wstep_l0,
 )
-from helpers import f_value, random_unit_nonneg, sorted_desc
+from proxinv.h1 import _wstep_h1
+from helpers import f_value, hausdorff, random_unit_nonneg, sorted_desc
 
 
 def test_positive_gap_keeps_origin():
@@ -192,3 +198,44 @@ def test_uniform_forms_check_their_arguments(form, alpha, n, match):
     a, b = form(1.0, np.int64(3), 1.0), form(1.0, 3, 1.0)
     assert (a.contains_zero, a.g_value, a.family) == (b.contains_zero, b.g_value, b.family)
     assert all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
+
+
+def fork_pairs(rng, count, c):
+    """Non-uniform sorted pairs (x, rho), x1 at magnitudes 10^[-3, 3] and
+    10^[-120, 120] in turn; for a third, rho*x1*x2 within 1e-6 relative of
+    ``c`` (log-uniform down to 1e-12), else rho*x1^2 log-uniform on
+    [0.1, 30].  Pairs with |rho*x1*x2 - c| <= 1e-12 are left out: there the
+    root and the first axis lie within rounding of each other."""
+    out = []
+    while len(out) < count:
+        i = len(out)
+        x1 = 10.0 ** rng.uniform(*((-3.0, 3.0) if i % 2 else (-120.0, 120.0)))
+        x2 = x1 * rng.uniform(0.0, 0.999)
+        rho = 10.0 ** rng.uniform(-1.0, 1.5) / (x1 * x1)
+        if i % 3 == 0:
+            rho = c * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0)) / (x1 * x2)
+        if abs(rho * x1 * x2 - c) > 1e-12:
+            out.append((np.array([x1, x2]), rho))
+    return out
+
+
+@pytest.mark.parametrize("tie_tol", [1e-10, 0.3, 0.9])
+@pytest.mark.parametrize(
+    "planar, general, c",
+    [(wstep_h1_r2, _wstep_h1, 1.0), (wstep_h2_r2, lambda h, r: wstep_h2(h, r)[0], 2.0)],
+    ids=["h1", "h2"],
+)
+def test_planar_fork_agrees_with_general_kernel(planar, general, c, tie_tol):
+    # wrd.prox sends two-entry heads to the planar kernel; the general one
+    # gives the same set there, every tying candidate included, once
+    rng = np.random.default_rng(int(c * 1000 + tie_tol * 100))
+    tol = Tolerances(tie_tol)
+    for x, rho in fork_pairs(rng, 3000, c):
+        a = wrd_assemble(x, rho, planar(x, rho), tol)
+        b = wrd_assemble(x, rho, general(x, rho), tol)
+        where = (x.tolist(), rho)
+        assert (a.contains_zero, a.family, len(a.points)) == (b.contains_zero, b.family, len(b.points)), where
+        assert hausdorff(a.points, b.points) <= 1e-9 * math.hypot(x[0], x[1]), where
+        for ps in (a, b):
+            for i, p in enumerate(ps.points):
+                assert not any(np.array_equal(p, q) for q in ps.points[:i]), where
