@@ -143,9 +143,6 @@ class SignedPermutation:
     order: np.ndarray
     signs: np.ndarray
 
-    def __len__(self) -> int:
-        return self.order.size
-
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != self.order.shape:

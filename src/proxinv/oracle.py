@@ -131,11 +131,7 @@ def _penalty_grid(U1: np.ndarray, U2: np.ndarray, objective: str) -> np.ndarray:
     n1 = np.abs(U1) + np.abs(U2)
     n2sq = U1 * U1 + U2 * U2
     r = np.where(n2sq > 0.0, n1 / np.sqrt(np.where(n2sq > 0.0, n2sq, 1.0)), 0.0)
-    if objective == "h1":
-        return r
-    if objective == "h2":
-        return r * r
-    raise ValueError("objective must be 'l0', 'h1' or 'h2'")
+    return r if objective == "h1" else r * r
 
 
 def _penalty_point(u: np.ndarray, objective: str) -> float:

@@ -33,6 +33,13 @@ class TestProxCommand:
         w = np.array([0.8598, 0.4481, 0.2422, 0.0363])
         r = float(np.array([2.5, 1.5, 1.0, 0.5]) @ w)
         assert np.allclose(point, r * w, atol=5e-3)
+        # the planar l1/l2 angle near the first axis: u2 within 1e-9 of its
+        # 50-digit value (a bisection of the angle to a width of 1e-12
+        # printed 9.374356712592944e-05)
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", "2", "--x", "1.3425,0.3725"])
+        assert code == 0
+        (point,) = json.loads(out)["points"]
+        assert abs(point[1] / 9.3743567585419566e-05 - 1.0) <= 1e-9
 
     def test_zero_vector(self, capsys):
         code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", "1", "--x", "0,0"])
@@ -40,13 +47,24 @@ class TestProxCommand:
         payload = json.loads(out)
         assert payload["contains_zero"] is True and payload["points"] == []
 
-    def test_h1_underflow_keeps_origin(self, capsys):
-        # rho ||x||^2 underflows in the planar factor: the origin alone
-        xs = "1.4763095254365288e-220,1.8629634518955913e-220"
-        code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", "5.802385473390564e+118", "--x", xs])
+    @pytest.mark.parametrize(
+        "rho, xs, g",
+        [
+            # rho ||x||^2 underflows in the planar factor
+            ("5.802385473390564e+118", "1.4763095254365288e-220,1.8629634518955913e-220", 1.0),
+            # the screen keeps two pieces with both ends negative, each giving
+            # one rising root; the winning direction, the root of the
+            # support-3 piece, loses to the origin
+            ("0.7783515660155081", "1.35,0.95,0.85,0.65,0.15", 0.28795874148314327),
+        ],
+        ids=["underflow", "screen"],
+    )
+    def test_h1_keeps_origin_alone(self, capsys, rho, xs, g):
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", rho, "--x", xs])
         assert code == 0
         payload = json.loads(out)
         assert payload["contains_zero"] is True and payload["points"] == []
+        assert abs(payload["g_value"] / g - 1.0) <= 1e-12
 
     def test_malformed_vector(self, capsys):
         code, _, err = run_cli(capsys, ["prox", "--fn", "l0", "--rho", "2", "--x", "2,oops"])
@@ -99,6 +117,12 @@ class TestProxCommand:
         payload = json.loads(out)
         assert payload["contains_zero"] is True
         assert payload["points"] == [[1.05, 0.0]]
+        # a uniform l1/l2 pair whose first axis ties at a large tie_tol: the
+        # axis point is a member, as it is for a pair 1e-9 apart
+        xs = "0.31622776601683794,0.31622776601683794"
+        code, out, _ = run_cli(capsys, ["prox", "--fn", "h1", "--rho", "1", "--x", xs, "--tie-tol", "0.9"])
+        assert code == 0
+        assert json.loads(out)["points"] == [[0.31622776601683794, 0.0]]
 
     def test_tie_tol_one_exits_2(self, capsys):
         code, out, err = run_cli(

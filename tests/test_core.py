@@ -321,6 +321,7 @@ class TestNormalize:
 
     # 1025 is the first length past the stable-sort rule of normalize; the
     # index takes 15 bits of each sort key up to 2**15 entries, 16 past it
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 100, 1000, 1025, 20000, 2**15, 2**15 + 1, 30000])
     def test_matches_stable_argsort(self, n):
         rng = np.random.default_rng(n)

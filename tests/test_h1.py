@@ -867,6 +867,7 @@ def gather_screen_wstep_h1(x, rho, descents):
 
 
 class TestSupportScan:
+    @pytest.mark.dispatch
     def test_trusted_scan_matches_parent(self, monkeypatch):
         # the trusted kernel, with the first axis scored in closed form and
         # the end-slope test on contiguous slices, gives the same bits as the
@@ -1197,6 +1198,7 @@ class TestScanDescent:
             tie = effective_tie_tol(DEFAULT_TOLERANCES, 0.5 * rho * float(x @ x))
             assert_prox_sets_match(got, prox_h1(x, rho), x, rho, 1e-14, 1e-4 * tie)
 
+    @pytest.mark.dispatch
     def test_roots_are_float_roots(self, monkeypatch):
         # every root is rising: the exact F is <= 0 below it and >= 0 above
         # it, within the width of the gap form's error bound, which is finite
@@ -1328,6 +1330,7 @@ def pass_corpus():
     return cases
 
 
+@pytest.mark.dispatch
 class TestScanPasses:
     """The Python-float pass of short heads and the vector pass of long ones
     give the same bits: numpy's cumsum is a sequential running sum, and its

@@ -265,6 +265,7 @@ class TestSpectrum:
         assert np.array_equal(spec.w_lo, [1e80, 5e79, 2e79])
 
 
+@pytest.mark.dispatch
 class TestMu:
     def test_reference_vector(self):
         assert mu(X_REF, 2.5) == 4
@@ -397,6 +398,7 @@ class TestDirectionSolver:
         with pytest.raises(TypeError):
             wstep_h2(np.ones(3), 2.0, None)
 
+    @pytest.mark.dispatch
     def test_scan_matches_prefix_walk(self):
         # the prefix-sum scan picks the same prefix and direction as the
         # per-prefix walk it replaces
@@ -412,6 +414,7 @@ class TestDirectionSolver:
             truncated += k < mu(x, rho)
         assert truncated >= 500
 
+    @pytest.mark.dispatch
     def test_block_walk_matches_full_scan_within_bound(self):
         # off the near-uniform heads the direct discriminant of
         # full_scan_wstep_h2 holds, and its walk picks the right prefix:
@@ -436,6 +439,7 @@ class TestDirectionSolver:
             seen[kind] += k > 1  # past the first axis
         assert min(seen.values()) >= 5, seen
 
+    @pytest.mark.dispatch
     def test_block_walk_matches_decimal_reference(self):
         # near-uniform heads, where the direct discriminant of
         # full_scan_wstep_h2 cancels and its picks fall up to 18.6 tie
@@ -501,6 +505,7 @@ class TestDirectionSolver:
             mixed[kind] += 0 < len(passing) < len(walk)  # both a passing and a failing prefix
         assert min(mixed.values()) >= 20, mixed
 
+    @pytest.mark.dispatch
     def test_pick_is_last_passing_prefix_of_float_scan(self):
         # the bisection reads the float trailing test at about log2(mu)
         # prefixes; it picks what a scan of every prefix picks, also where
@@ -517,6 +522,7 @@ class TestDirectionSolver:
             deep += k < _mu(x, rho) - 1024
         assert deep >= 20, deep
 
+    @pytest.mark.dispatch
     def test_two_entry_pick_matches_planar_closed_form(self):
         # on an untied head with mu >= 2 the walk runs down to k = 2, where the
         # exact direction is in the cone and is the planar arctangent's: the

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -239,3 +240,58 @@ def test_planar_fork_agrees_with_general_kernel(planar, general, c, tie_tol):
         for ps in (a, b):
             for i, p in enumerate(ps.points):
                 assert not any(np.array_equal(p, q) for q in ps.points[:i]), where
+
+
+def piece_two_root(x1, x2, rho):
+    """The rising root s* of the l1/l2 scan's F on the support-2 piece of
+    the pair (x1, x2), at t = kappa - s (kappa = x2/x1, y = (1, kappa),
+    r = rho x1^2), and F'(s*), in 70-digit decimal.  F is concave on the
+    piece: bisect F' for its peak, then F between the peak, where F > 0,
+    and s = kappa (t = 0), where F = -||y||; the root between them is the
+    one where F turns nonnegative as t grows.  200 halvings of a width
+    below 1 leave less than 1e-60, 50 digits of s* here."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 70
+        x1, x2, rho = decimal.Decimal(x1), decimal.Decimal(x2), decimal.Decimal(rho)
+        kappa, r = x2 / x1, rho * x1 * x1
+        a, b = 1 - kappa, 1 + kappa
+
+        def f(s):
+            return r * (kappa - s) * (a + b * s) - ((a + s) ** 2 + s * s).sqrt()
+
+        def f_prime(s):
+            return r * ((kappa - s) * b - a - b * s) - (a + 2 * s) / ((a + s) ** 2 + s * s).sqrt()
+
+        def bisect(g, lo, hi):
+            # g > 0 at lo and < 0 at hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            return lo
+
+        peak = bisect(f_prime, decimal.Decimal(0), kappa)
+        assert f(peak) > 0
+        root = bisect(f, peak, kappa)
+        return root, f_prime(root), a
+
+
+def test_planar_fork_lists_root_within_its_conditioning_at_double_root():
+    # rho*x1*x2 = 1 - 3.2e-12 and kappa near the golden ratio conjugate:
+    # L has a near-double root at 0, and F' at the root is -3.7e-7.  Both
+    # sides of the fork list the root with the first axis at tie_tol 0.3, a
+    # few 1e-10 apart in s; each must lie within the root's conditioning,
+    # four rounding units (2^-52) of F over |F'(s*)|, 2.4e-9 in s
+    x = np.array([1.912450329773451, 1.1819616218506968])
+    rho = 0.4423911804530456
+    s_star, slope, a = piece_two_root(x[0], x[1], rho)
+    # the root from a 60-digit mpmath findroot
+    assert abs(s_star / decimal.Decimal("6.04939265108414230017675393515271920e-7") - 1) <= 1e-30
+    bound = 4 * decimal.Decimal(2) ** -52 / abs(slope)
+    tol = Tolerances(0.3)
+    for kernel in (wstep_h1_r2, _wstep_h1):
+        ps = wrd_assemble(x, rho, kernel(x, rho), tol)
+        assert ps.contains_zero and len(ps.points) == 2, kernel
+        (u1, u2), = [p for p in ps.points if p[1] > 0.0]
+        # the point is radius * (a + s, s), with a = 1 - kappa
+        s = a * decimal.Decimal(u2) / (decimal.Decimal(u1) - decimal.Decimal(u2))
+        assert abs(s - s_star) <= bound, (kernel, float(s - s_star), float(bound))
