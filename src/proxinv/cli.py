@@ -106,8 +106,8 @@ def _cmd_region(args) -> int:
         ps = prox(np.array([x1, x2]), args.rho, tol)
         label = _region_label(ps)
         if args.mode == "prox-map":
-            u = ps.points[0] if ps.points else np.zeros(2)
-            out.write(f"{_fmt(x1)},{_fmt(x2)},{label},{_fmt(u[0])},{_fmt(u[1])}\n")
+            u1, u2 = ps.points[0].tolist() if ps.points else (0.0, 0.0)
+            out.write(f"{_fmt(x1)},{_fmt(x2)},{label},{_fmt(u1)},{_fmt(u2)}\n")
         else:
             out.write(f"{_fmt(x1)},{_fmt(x2)},{label}\n")
     return 0

@@ -10,6 +10,7 @@ direction solvers minimize on the nonnegative part of the unit sphere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,12 @@ _DOT_PIECE = 10_000
 #: bracket width at which the 1-D root searches stop (relative to the
 #: bracket end in :func:`sphere_qp_lambda`)
 _ROOT_TOL = 1e-12
+#: longest vector whose checks and reductions run on ``tolist()`` Python
+#: floats: each numpy call costs about 1 us at any short length, the Python
+#: pass tens of nanoseconds an entry.  ``normalize``, ``descending_vector``
+#: and ``wrd._member`` together take 14.3 us on floats and 18.7 us in numpy
+#: at 2 entries, and meet near 18 entries on a 2-vCPU Xeon VM
+_SHORT_VECTOR = 16
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,9 +80,18 @@ def _validated(x) -> tuple[np.ndarray, np.ndarray]:
     # _SUM_SAFE/n their sum; only larger inputs take the sum, without the
     # overflow warning, since an overflow is a magnitude out of range
     a = np.abs(v)
-    top = float(np.maximum.reduce(a))  # a.max() adds a wrapper of about 0.7 us
-    if not top < math.inf:
-        raise ValueError("vector entries must be finite")
+    if a.size <= _SHORT_VECTOR:
+        mags = a.tolist()
+        top = max(mags)
+        # max skips a NaN past the first entry (NaN > top is false); the sum
+        # carries it, and a finite sum can overflow only to inf, not NaN
+        total = sum(mags)
+        if not (top < math.inf and total == total):
+            raise ValueError("vector entries must be finite")
+    else:
+        top = float(np.maximum.reduce(a))  # a.max() adds a wrapper of about 0.7 us
+        if not top < math.inf:
+            raise ValueError("vector entries must be finite")
     if top * a.size > _SUM_SAFE:
         with np.errstate(over="ignore"):
             if float(a.sum()) == math.inf:
@@ -104,7 +120,13 @@ def descending_vector(x) -> np.ndarray:
     full check of :func:`as_vector`, with its error types and messages.
     """
     if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 and (n := x.size):
-        if x[-1] >= 0.0 and float(x[0]) * n <= _SUM_SAFE and np.count_nonzero(x[:-1] >= x[1:]) == n - 1:
+        if n <= _SHORT_VECTOR:
+            # a NaN makes the sum NaN; with none, the sorted copy equals v
+            # exactly when every adjacent pair is in order under >=
+            v = x.tolist()
+            if v[-1] >= 0.0 and v[0] * n <= _SUM_SAFE and sum(v) < math.inf and sorted(v, reverse=True) == v:
+                return x
+        elif x[-1] >= 0.0 and float(x[0]) * n <= _SUM_SAFE and np.count_nonzero(x[:-1] >= x[1:]) == n - 1:
             return x
     v = _validated(x)[0]
     if v[-1] < 0.0 or np.count_nonzero(v[:-1] < v[1:]):
@@ -112,7 +134,22 @@ def descending_vector(x) -> np.ndarray:
     return v
 
 
+def _has_negative(w: np.ndarray) -> bool:
+    """Whether the finite float array ``w`` has an entry below -1e-12, the
+    rounding allowance of a solver's nonnegative output."""
+    if w.size <= _SHORT_VECTOR:
+        return min(w.tolist()) < -_NEG_ATOL
+    return bool(np.count_nonzero(w < -_NEG_ATOL))
+
+
 def _plane_vector(x_sorted) -> np.ndarray:
+    """A validated sorted plane vector with x1 > x2 >= 0: a native float64
+    pair that passes :func:`descending_vector`'s one-pass test with x1 > x2
+    is read as two floats; anything else takes that check in full."""
+    if type(x_sorted) is np.ndarray and x_sorted.shape == (2,) and x_sorted.dtype == np.float64:
+        x1, x2 = x_sorted.tolist()
+        if x1 > x2 >= 0.0 and x1 * 2 <= _SUM_SAFE:
+            return x_sorted
     x = descending_vector(x_sorted)
     if x.size != 2 or not x[0] > x[1]:
         raise ValueError("expected a sorted plane vector with x1 > x2 >= 0")
@@ -120,6 +157,9 @@ def _plane_vector(x_sorted) -> np.ndarray:
 
 
 def _positive_rho(rho: float) -> float:
+    # an ABC's isinstance test takes several times longer than the type test
+    if type(rho) is not float and not isinstance(rho, numbers.Real):
+        raise ValueError(f"rho must be a real number, not {type(rho).__name__}")
     try:
         rho = float(rho)
     except OverflowError:  # an integer past the float range
@@ -206,7 +246,10 @@ def normalize(x) -> tuple[np.ndarray, SignedPermutation]:
     v, a = _validated(x)
     order = _descending_order(a)
     picked = v[order]
-    signs = _SIGNS.take(picked < 0.0)
+    if a.size <= _SHORT_VECTOR:
+        signs = np.array([-1.0 if e < 0.0 else 1.0 for e in picked.tolist()])
+    else:
+        signs = _SIGNS.take(picked < 0.0)
     picked *= signs
     # the flipped entries are the magnitudes a[order] (a -0.0 compares equal
     # to 0.0), so the packed keys' order is checked on them
@@ -251,6 +294,15 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _tolerances(tol) -> Tolerances:
+    """``tol``, or :data:`DEFAULT_TOLERANCES` for None; anything else is refused."""
+    if tol is None:
+        return DEFAULT_TOLERANCES
+    if not isinstance(tol, Tolerances):
+        raise ValueError(f"tol must be a Tolerances or None, not {type(tol).__name__}")
+    return tol
 
 
 def effective_tie_tol(tol: Tolerances, f_zero: float) -> float:

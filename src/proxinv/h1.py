@@ -181,7 +181,7 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
     """
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = x.tolist()
     kappa = x2 / x1
     a = math.atan2(2.0 * kappa, 1.0 - kappa * kappa)
     cross = rho * x1 * x2
@@ -192,8 +192,11 @@ def wstep_h1_r2(x_sorted, rho: float) -> WStepSolution:
         theta = _descend(_factor, 0.5 * a, 0.0, a, _offset(rho, x1 * x1 + x2 * x2))
     if theta == 0.0:
         return WStepSolution(w_star=axis[0], g_value=axis[1])
-    w = np.array([math.cos(theta), math.sin(theta)])
-    root = (w, _objective_G_h1(w, x, rho))
+    c, s = math.cos(theta), math.sin(theta)
+    w = np.array([c, s])
+    # _objective_G_h1's bits, with ||w||_1 = c + s as numpy sums two entries
+    t = _dot(x, w)
+    root = (w, -0.5 * rho * t * t + (c + s))
     # for cross > 1 the unique interior root is the global angle; else it
     # must beat the first axis
     best, rival = (root, axis) if cross > 1.0 or root[1] < axis[1] else (axis, root)

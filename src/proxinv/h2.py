@@ -149,13 +149,18 @@ def wstep_h2_r2(x_sorted, rho: float) -> WStepSolution:
     :func:`wstep_h2` forms it)."""
     rho = _positive_rho(rho)
     x = _plane_vector(x_sorted)
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = x.tolist()
     cross = rho * x1 * x2
     if cross <= 2.0:
         return WStepSolution(w_star=np.array([1.0, 0.0]), g_value=1.0 - 0.5 * rho * x1 * x1)
     theta = 0.5 * math.atan(2.0 * (cross - 2.0) / (rho * (x1 * x1 - x2 * x2)))
-    w = np.array([math.cos(theta), math.sin(theta)])
-    return WStepSolution(w_star=w, g_value=_objective_G_h2(w, x, rho))
+    c, s = math.cos(theta), math.sin(theta)
+    w = np.array([c, s])
+    # _objective_G_h2's bits: ||w||_1 of two positive entries is c + s, as
+    # numpy sums them; the dot stays a BLAS ddot, whose bits Python's
+    # x1*c + x2*s does not always give
+    t = _dot(x, w)
+    return WStepSolution(w_star=w, g_value=(c + s) * (c + s) - 0.5 * rho * t * t)
 
 
 def wstep_h2(x_sorted, rho: float) -> tuple[WStepSolution, int]:

@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     ProxSet,
     Tolerances,
     _dot,
     _positive_rho,
+    _tolerances,
     _validated,
     descending_vector,
 )
@@ -36,8 +36,7 @@ def prox_l0(x, rho: float, tol: Tolerances | None = None) -> ProxSet:
     minimal-support representatives.  Raises ``ValueError`` when a squared
     entry is not finite (input magnitude out of range).
     """
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
+    rho, tol = _positive_rho(rho), _tolerances(tol)
     v = _validated(x)[0]  # read only: every point below is a fresh array
 
     # per-entry decision in the squared domain: with s = (rho/2) x_i^2 the

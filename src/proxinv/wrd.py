@@ -7,7 +7,11 @@ the sign of the gap.  The gap equals F(r*w) - F(0) exactly, so the decision
 never recomputes F and avoids cancellation for large inputs.
 
 :func:`prox` is the driver both ratio operators run; only their w-step and
-uniform closed form depend on the penalty.
+uniform closed form depend on the penalty.  It checks ``x`` (in
+:func:`~proxinv.core.normalize`), ``rho`` and ``tol`` once and runs the
+radius and decision steps through the trusted :func:`_assemble` on the
+head; the public :func:`wrd_assemble` is its own checks plus
+:func:`_assemble`.  What a w-step returns is checked either way.
 :func:`decision_step` is the one decision rule of the package: the solved
 directions of :func:`wrd_assemble` and the uniform and single-axis closed
 forms of the h1 and h2 operators all go through it, and :func:`is_tie` is
@@ -23,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     UNIFORM_RTOL,
     ProxSet,
     Tolerances,
     _NEG_ATOL,
     _dot,
+    _has_negative,
     _positive_rho,
+    _tolerances,
     effective_tie_tol,
     normalize,
 )
@@ -109,9 +114,13 @@ def wrd_assemble(x_sorted, rho: float, sol: WStepSolution, tol: Tolerances | Non
     from the warning-free :func:`~proxinv.core._dot`: where it overflows, the
     decision step reports the input magnitude out of range.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    rho = _positive_rho(rho)
-    x = np.asarray(x_sorted, dtype=float)
+    return _assemble(np.asarray(x_sorted, dtype=float), _positive_rho(rho), sol, _tolerances(tol))
+
+
+def _assemble(x: np.ndarray, rho: float, sol: WStepSolution, tol: Tolerances) -> ProxSet:
+    """:func:`wrd_assemble` on trusted arguments: a float array ``x``, a
+    positive finite ``rho`` and a ``Tolerances``.  What the solver returned
+    is still checked (:func:`_member`, :func:`decision_step`)."""
     f_zero = 0.5 * rho * _dot(x, x)  # silent on overflow: the decision step rejects an infinite F(0)
     point = _member(sol.w_star, x)
     ties = [_member(v, x) for v, g in sol.rivals if is_tie(g - sol.g_value, f_zero, tol)]
@@ -130,7 +139,7 @@ def _member(w, x: np.ndarray) -> np.ndarray:
         if not math.isfinite(norm2):
             raise ValueError("input magnitude out of range: w_star is not finite")
         raise ValueError("w_star must be a unit vector")
-    if np.count_nonzero(w < -_NEG_ATOL):  # w is finite: the unit test rejects NaN and inf
+    if _has_negative(w):  # w is finite: the unit test rejects NaN and inf
         raise ValueError("w_star must be nonnegative")
     r = _dot(x, w)
     if r < -_NEG_ATOL:
@@ -141,18 +150,24 @@ def _member(w, x: np.ndarray) -> np.ndarray:
 def prox(x, rho: float, tol: Tolerances | None, planar, wstep, uniform) -> ProxSet:
     """Prox of a ratio penalty on the m nonzero entries of the sorted ``x``: {0}
     for m = 0, ``uniform(alpha, m, rho, tol)`` on a head uniform at alpha, else
-    :func:`wrd_assemble` on the head's direction, from ``planar(head, rho)`` when
-    m = 2 and ``wstep(head, rho)`` when m > 2; ``perm.invert`` restores x's frame."""
-    rho = _positive_rho(rho)
+    :func:`_assemble` on the head's direction, from ``planar(head, rho)`` when
+    m = 2 and ``wstep(head, rho)`` when m > 2; ``perm.invert`` restores x's
+    frame, in the set the decision step built.  ``x``, ``rho`` and ``tol``
+    are checked here once, and the head is trusted below."""
+    rho, tol = _positive_rho(rho), _tolerances(tol)
     xs, perm = normalize(x)
     m = int(np.count_nonzero(xs))
     if m == 0:
         return ProxSet(True, [], g_value=1.0)
     head = xs[:m]
-    if head[0] - head[-1] <= UNIFORM_RTOL * head[0]:  # uniform_value's test, minus its validation pass
-        return uniform(head[0], m, rho, tol).map_points(perm.invert)
-    # the direction is passed inline, not bound to a local, so it is freed before perm.invert
-    return wrd_assemble(head, rho, (planar if m == 2 else wstep)(head, rho), tol).map_points(perm.invert)
+    first, last = float(head[0]), float(head[-1])
+    if first - last <= UNIFORM_RTOL * first:  # uniform_value's test, minus its validation pass
+        ps = uniform(first, m, rho, tol)
+    else:
+        # the direction is passed inline, not bound to a local, so it is freed before perm.invert
+        ps = _assemble(head, rho, (planar if m == 2 else wstep)(head, rho), tol)
+    ps.points = [perm.invert(p) for p in ps.points]
+    return ps
 
 
 def _uniform_args(alpha, n, rho: float, tol: Tolerances | None) -> tuple:
@@ -162,4 +177,4 @@ def _uniform_args(alpha, n, rho: float, tol: Tolerances | None) -> tuple:
         raise ValueError("input magnitude out of range: alpha is not finite")
     if not (alpha > 0.0 and isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError(f"alpha must be positive and n an integer >= 1, not {alpha!r} and {n!r}")
-    return alpha, int(n), rho, tol or DEFAULT_TOLERANCES
+    return alpha, int(n), rho, _tolerances(tol)

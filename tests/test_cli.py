@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestRegionCommand:
         )
         assert code == 2 and out == ""
         assert "xmax positive and finite" in err and "Traceback" not in err
+
+    #: sha256 prefixes of the six maps at --rho 2 --xmax 2 --grid 41
+    #: --include-boundary; a changed row changes its map's hash
+    MAP_HASHES = {
+        ("l0", "zero-map"): "345c10f517835016",
+        ("l0", "prox-map"): "eba3c5265baad57d",
+        ("h1", "zero-map"): "b1d4fe5e660090ba",
+        ("h1", "prox-map"): "18d9af27727c473e",
+        ("h2", "zero-map"): "345c10f517835016",
+        ("h2", "prox-map"): "c8ae2bb96444eb6e",
+    }
+
+    @pytest.mark.parametrize("fn, mode", sorted(MAP_HASHES))
+    def test_region_maps_are_pinned(self, capsys, fn, mode):
+        argv = ["region", "--fn", fn, "--rho", "2", "--xmax", "2", "--grid", "41", "--mode", mode, "--include-boundary"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == self.MAP_HASHES[fn, mode]
 
     def test_include_boundary_ratio_tie(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import re
 import warnings
 
@@ -10,6 +11,7 @@ from proxinv import (
     ProxSet,
     SignedPermutation,
     Tolerances,
+    WStepSolution,
     as_vector,
     denormalize,
     descending_vector,
@@ -29,6 +31,7 @@ from proxinv import (
     wstep_h1_r2,
     wstep_h2,
     wstep_h2_r2,
+    wrd_assemble,
 )
 from helpers import assert_sets_close, random_unit_nonneg, sorted_desc
 
@@ -626,6 +629,184 @@ class TestValidateOnce:
         for rho in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 fn(self.GOOD_X[n], rho)
+
+
+def _outcome(fn, *args):
+    """What a call gives, as comparable bytes: the result's arrays, or the
+    exception's type and message."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # every type is compared, not only ValueError
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(out, ProxSet):
+        return (out.contains_zero, out.family, repr(out.g_value), out.tie_truncated, [p.tobytes() for p in out.points])
+    if isinstance(out, tuple):  # normalize: the sorted vector, its order and signs
+        xs, perm = out
+        return (xs.dtype.str, xs.tobytes(), perm.order.dtype.str, perm.order.tobytes(), perm.signs.tobytes())
+    return (out.dtype.str, out.shape, out.tobytes())
+
+
+@pytest.mark.dispatch
+class TestShortVectorCut:
+    """Up to ``core._SHORT_VECTOR`` entries the checks and reductions run on
+    ``tolist()`` floats, past it as numpy calls; both sides give the same
+    bytes, exception types and messages."""
+
+    CUT = proxinv.core._SHORT_VECTOR
+
+    @staticmethod
+    def inputs(n):
+        """Inputs of length n: NaN in the first, middle or last slot, +-inf,
+        -0.0 entries, an overflowing sum, complex objects, and good ones."""
+        rng = np.random.default_rng(n)
+        base = rng.standard_normal(n)
+        head = np.sort(np.abs(base))[::-1].copy()
+        cases = {"signed": base, "head": head, "list": base.tolist(), "float32": base.astype(np.float32)}
+        for slot in sorted({0, n // 2, n - 1}):
+            for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+                for kind, v in (("signed", base), ("head", head)):
+                    y = v.copy()
+                    y[slot] = bad
+                    cases[f"{kind}-{name}-{slot}"] = y
+        zeros = base.copy()
+        zeros[rng.permutation(n)[: max(1, n // 2)]] = -0.0
+        cases["minus-zero"] = zeros
+        cases["all-minus-zero"] = np.full(n, -0.0)
+        cases["head-minus-zero-tail"] = np.concatenate([head[: n // 2], np.full(n - n // 2, -0.0)])
+        cases["sum-overflows"] = [1e308] * n
+        cases["sum-overflows-array"] = np.full(n, 1e308)
+        cases["object-complex"] = np.array([1 + 1j] + [1.0] * (n - 1), dtype=object)
+        cases["object-numpy-complex"] = np.array([1.0] * (n - 1) + [np.complex128(2.0)], dtype=object)
+        return cases
+
+    @staticmethod
+    def calls(x):
+        n = np.size(x)
+        out = {
+            "normalize": (normalize, x),
+            "as_vector": (as_vector, x),
+            "descending_vector": (descending_vector, x),
+            "prox_l0": (prox_l0, x, 0.7),
+            "prox_h1": (prox_h1, x, 0.7),
+            "prox_h2": (prox_h2, x, 0.7),
+        }
+        if n == 2:
+            out["plane"] = (proxinv.core._plane_vector, x)
+        return out
+
+    def outcomes(self, monkeypatch, cut):
+        monkeypatch.setattr(proxinv.core, "_SHORT_VECTOR", cut)
+        got = {}
+        for n in (1, 2, self.CUT, self.CUT + 1):
+            for name, x in self.inputs(n).items():
+                for call, (fn, *args) in self.calls(x).items():
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        got[n, name, call] = _outcome(fn, *args)
+        return got
+
+    def test_both_sides_agree(self, monkeypatch):
+        short = self.outcomes(monkeypatch, 10**9)
+        long = self.outcomes(monkeypatch, 0)
+        assert short.keys() == long.keys()
+        diff = [key for key in short if short[key] != long[key]]
+        assert not diff, diff[:5]
+        # every kind of outcome is reached on both sides
+        raised = {v[2] for v in short.values() if v[0] == "raised"}
+        assert {
+            "vector entries must be finite",
+            "vector entries must be real, not complex",
+            "expected entries sorted in descending nonnegative order",
+        } <= raised
+        assert any(m.startswith("input magnitude out of range: sum of |x| overflows") for m in raised)
+
+    @pytest.mark.parametrize("cut", [0, 10**9], ids=["numpy", "floats"])
+    def test_nan_past_the_first_slot_is_rejected(self, monkeypatch, cut):
+        # max skips a NaN that follows a number, so max alone would let it in
+        assert max([1.0, float("nan")]) == 1.0
+        monkeypatch.setattr(proxinv.core, "_SHORT_VECTOR", cut)
+        for fn in (normalize, descending_vector, lambda x: prox_l0(x, 1.0), lambda x: prox_h2(x, 1.0)):
+            with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                fn(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("cut", [0, 10**9], ids=["numpy", "floats"])
+    def test_minus_zero_keeps_its_sign_bit(self, monkeypatch, cut):
+        # a -0.0 entry takes sign +1 and stays -0.0 in the sorted vector
+        monkeypatch.setattr(proxinv.core, "_SHORT_VECTOR", cut)
+        xs, perm = normalize(np.array([-0.0, -2.0, 0.0]))
+        assert xs.tobytes() == np.array([2.0, -0.0, 0.0]).tobytes()
+        assert perm.signs.tolist() == [-1.0, 1.0, 1.0] and perm.order.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, CUT, CUT + 1])
+    def test_member_sign_test_agrees(self, monkeypatch, n):
+        # the nonnegativity test of wrd_assemble: -5e-13 is rounding, -2e-12 is not
+        x = np.linspace(2.0, 1.0, n)
+        for tail in (0.0, -5e-13, -2e-12):
+            w = np.zeros(n)
+            w[0] = 1.0
+            if n > 1:
+                w[-1] = tail
+            sol = WStepSolution(w_star=w, g_value=-1.0)
+            got = []
+            for cut in (0, 10**9):
+                monkeypatch.setattr(proxinv.core, "_SHORT_VECTOR", cut)
+                got.append(_outcome(wrd_assemble, x, 1.0, sol))
+            assert got[0] == got[1], (n, tail)
+        if n > 1:
+            assert got[0] == ("raised", "ValueError", "w_star must be nonnegative")
+
+
+class TestArgumentTypes:
+    """A rho that is not a real number, or a tol that is neither None nor a
+    ``Tolerances``, raises ``ValueError`` at every public boundary."""
+
+    @staticmethod
+    def boundaries(rho, tol):
+        x = np.array([1.0, 0.5, 0.2])
+        sol = WStepSolution(w_star=np.array([1.0, 0.0, 0.0]), g_value=-1.0)
+        return {
+            "prox_l0": lambda: prox_l0(x, rho, tol),
+            "prox_h1": lambda: prox_h1(x, rho, tol),
+            "prox_h2": lambda: prox_h2(x, rho, tol),
+            "prox_h1_uniform": lambda: proxinv.prox_h1_uniform(0.5, 3, rho, tol),
+            "prox_h2_uniform": lambda: proxinv.prox_h2_uniform(0.5, 3, rho, tol),
+            "wrd_assemble": lambda: wrd_assemble(x, rho, sol, tol),
+        }
+
+    BAD_RHO = {
+        "array": np.array([2.0]),
+        "0-d-array": np.array(2.0),
+        "none": None,
+        "complex": 2 + 0j,
+        "numpy-complex": np.complex128(2.0),
+        "list": [2.0],
+        "str": "2",
+    }
+    BAD_TOL = {"float": 0.5, "zero": 0, "false": False, "str": "1e-10", "tuple": (1e-10,)}
+    NAMES = ["prox_l0", "prox_h1", "prox_h2", "prox_h1_uniform", "prox_h2_uniform", "wrd_assemble"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("key", sorted(BAD_RHO))
+    def test_rho_not_a_real_number(self, name, key):
+        rho = self.BAD_RHO[key]
+        message = f"rho must be a real number, not {type(rho).__name__}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.boundaries(rho, None)[name]()
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("key", sorted(BAD_TOL))
+    def test_tol_not_tolerances(self, name, key):
+        tol = self.BAD_TOL[key]
+        message = f"tol must be a Tolerances or None, not {type(tol).__name__}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.boundaries(2.0, tol)[name]()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_real_numbers_read_as_floats(self, name):
+        # ints, numpy scalars, fractions and None as tol: the results of 2.0 and the defaults
+        want = _outcome(self.boundaries(2.0, Tolerances())[name])
+        for rho in (2, np.float32(2.0), np.int64(2), np.float64(2.0), fractions.Fraction(2)):
+            assert _outcome(self.boundaries(rho, None)[name]) == want, rho
 
 
 class TestMagnitudeRange:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import proxinv
 from proxinv import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -14,9 +15,12 @@ from proxinv import (
     objective_F,
     objective_G_h1,
     objective_G_h2,
+    prox_h1,
     prox_h1_uniform,
+    prox_h2,
     prox_h2_uniform,
     wrd_assemble,
+    wstep_h1,
     wstep_h1_r2,
     wstep_h2,
     wstep_h2_r2,
@@ -295,3 +299,92 @@ def test_planar_fork_lists_root_within_its_conditioning_at_double_root():
         # the point is radius * (a + s, s), with a = 1 - kappa
         s = a * decimal.Decimal(u2) / (decimal.Decimal(u1) - decimal.Decimal(u2))
         assert abs(s - s_star) <= bound, (kernel, float(s - s_star), float(bound))
+
+
+def _set_bytes(ps):
+    return (ps.contains_zero, ps.family, repr(ps.g_value), ps.tie_truncated, [p.tobytes() for p in ps.points])
+
+
+#: the public w-steps of each ratio operator: (planar, longer heads, uniform closed form)
+_PUBLIC_STEPS = {
+    "h1": (prox_h1, wstep_h1_r2, wstep_h1, prox_h1_uniform),
+    "h2": (prox_h2, wstep_h2_r2, lambda h, r: wstep_h2(h, r)[0], prox_h2_uniform),
+}
+
+
+def _composed(op, x, rho, tol):
+    """The ratio prox as the public composition: normalize, the public
+    w-step, wrd_assemble, then map_points(perm.invert)."""
+    _, planar, wstep, uniform = _PUBLIC_STEPS[op]
+    xs, perm = normalize(x)
+    m = int(np.count_nonzero(xs))
+    if m == 0:
+        return _set_bytes(proxinv.ProxSet(True, [], g_value=1.0))
+    head = xs[:m]
+    if proxinv.uniform_value(head) is not None:
+        return _set_bytes(uniform(head[0], m, rho, tol).map_points(perm.invert))
+    sol = (planar if m == 2 else wstep)(head, rho)
+    return _set_bytes(wrd_assemble(head, rho, sol, tol).map_points(perm.invert))
+
+
+def _driver_corpus():
+    rng = np.random.default_rng(30)
+    cases = [
+        (np.array([1.0, 0.5]), 2.00000002, Tolerances(0.3)),
+        (np.array([1.0, 0.5]), 2.00000002, DEFAULT_TOLERANCES),
+        (np.array([-3.0, 1.0]), 0.3333333337, Tolerances(0.9)),
+        (np.array([0.31622776601683794, 0.31622776601683794]), 1.0, Tolerances(0.9)),
+        (np.array([1.0, -1.0, 0.0]), 2.0, DEFAULT_TOLERANCES),  # uniform head at the h2 tie
+        (np.array([1.0, -1.0, 0.5]), 2.0, DEFAULT_TOLERANCES),  # tied top block at the h2 tie
+        (np.array([-0.0, 1.0, 1.0]), math.sqrt(2.0), Tolerances(1e-6)),  # uniform head at the h1 tie
+    ]
+    for n in (1, 2, 3, 10, 33, 100):
+        for i in range(12):
+            rho = float(10 ** rng.uniform(-2, 1))
+            tol = (DEFAULT_TOLERANCES, Tolerances(1e-6), Tolerances(0.3))[i % 3]
+            x = rng.standard_normal(n)
+            kind = i % 6
+            if kind == 1:  # zero tail, with -0.0 entries among the zeros
+                x[rng.permutation(n)[: n // 2]] = 0.0
+                x[rng.permutation(n)[: n // 3]] = -0.0
+            elif kind == 2:  # tied top block
+                x[rng.permutation(n)[: max(2, n // 4)]] = 1.5 * rng.choice([-1.0, 1.0])
+            elif kind == 3:  # uniform head with a zero tail
+                x = np.where(rng.random(n) < 0.7, 0.9, 0.0) * rng.choice([-1.0, 1.0], n)
+            elif kind == 4:  # near-tied head at a large tie_tol
+                x = (1.0 + 1e-7 * rng.random(n)) * rng.choice([-1.0, 1.0], n)
+                tol = Tolerances(0.9)
+            elif kind == 5:  # entries near the l0 threshold
+                x = np.sqrt(2.0 / rho) * (1.0 + 1e-3 * rng.standard_normal(n))
+            cases.append((x, rho, tol))
+    return cases
+
+
+@pytest.mark.parametrize("op", sorted(_PUBLIC_STEPS))
+def test_driver_matches_public_composition(op):
+    # the driver runs the decision step on the head normalize validated and
+    # inverts the points in place; the public names give the same bytes
+    prox_op = _PUBLIC_STEPS[op][0]
+    for x, rho, tol in _driver_corpus():
+        assert _set_bytes(prox_op(x, rho, tol)) == _composed(op, x, rho, tol), (x, rho, tol)
+
+
+@pytest.mark.parametrize("op, planar, general", [("h1", "wstep_h1_r2", "_wstep_h1"), ("h2", "wstep_h2_r2", "wstep_h2")])
+@pytest.mark.parametrize("bad", ["nan", "long", "negative"])
+def test_driver_rejects_bad_directions_as_wrd_assemble_does(monkeypatch, op, planar, general, bad):
+    # what a w-step returns is checked after the driver as it is by wrd_assemble
+    def direction(head):
+        w = np.zeros(head.size)
+        w[:2] = {"nan": [np.nan, 0.0], "long": [2.0, 0.0], "negative": [0.6, -0.8]}[bad]
+        return WStepSolution(w_star=w, g_value=-1.0)
+
+    mod = getattr(proxinv, op)
+    prox_op = _PUBLIC_STEPS[op][0]
+    monkeypatch.setattr(mod, planar, lambda h, r: direction(h))
+    monkeypatch.setattr(mod, general, lambda h, r: (direction(h), 2) if general == "wstep_h2" else direction(h))
+    for x in (np.array([2.0, -1.0]), np.array([3.0, -2.0, 1.0, 0.0])):
+        head = normalize(x)[0][: np.count_nonzero(x)]
+        with pytest.raises(ValueError) as want:
+            wrd_assemble(head, 1.0, direction(head))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            prox_op(x, 1.0)
